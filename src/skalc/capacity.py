@@ -131,13 +131,10 @@ def _partition_coefficients(source: HypergraphicalSource):
     weights = source.weights
     coeffs = []
     nblocks_of = []
-    for labels in iter_partitions(n):
-        nb = max(labels) + 1
+    for block_masks in iter_partitions(n):
+        nb = len(block_masks)
         if nb < 2:
             continue
-        block_masks = [0] * nb
-        for i, lab in enumerate(labels):
-            block_masks[lab] |= 1 << i
         denom = nb - 1
         row = []
         for emask, w in zip(emasks, weights):

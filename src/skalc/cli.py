@@ -9,24 +9,23 @@ Subcommands map one-to-one onto the library surface:
 * two-user   one-way curves for a two-user pmf source
 * simulate   finite-blocklength linear schemes and their verification
 
-Exit codes: 0 success, 2 invalid input, 3 declined resource caps.  All
-numeric output goes through one formatter (exact rationals as "p/q",
-floats to 12 significant digits) so a given (input, seed) pair produces
-byte-identical output.
+Exit codes: 0 success, 2 invalid input, 3 declined resource caps, 4 a failed
+internal self-check (always a bug).  All numeric output goes through one
+formatter (exact rationals as "p/q", floats to 12 significant digits) so a
+given (input, seed) pair produces byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import capacity as cap_mod
 from . import protocol_sim, two_user
 from .curves import CapacityCurve
-from .errors import ResourceCapError, ValidationError
+from .errors import InternalCheckError, ResourceCapError, ValidationError
 from .mmi import DEFAULT_USER_CAP, mmi
 from .omniscience import rco
 from .source_model import format_number, load_source, parse_rational
@@ -215,20 +214,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _check_threads_env() -> None:
-    raw = os.environ.get("SKALC_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"SKALC_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValidationError("SKALC_THREADS must be at least 1")
-    # computation is deterministic and single-process; extra workers are
-    # accepted but add nothing
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skalc",
                                      description="secret-key rates for correlated sources")
@@ -277,7 +262,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads_env()
         return args.fn(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -285,6 +269,9 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
+    except InternalCheckError as exc:
+        print(f"internal check: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

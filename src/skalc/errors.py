@@ -24,4 +24,7 @@ class ResourceCapError(SkalcError):
 
 
 class InternalCheckError(SkalcError):
-    """A self-check that should hold by construction failed.  Always a bug."""
+    """A self-check that should hold by construction failed.  Always a bug.
+
+    The CLI maps this to exit code 4.
+    """

@@ -9,12 +9,16 @@ partitions.  With two users this is the usual Shannon mutual information.
 The minimizers form a lattice whose bottom element, the finest optimal
 partition, refines every other minimizer; that structure is asserted here.
 
-Partitions are enumerated through restricted growth strings, so the user
-count is capped (default 8, hard maximum 12).
+``mmi`` scores every partition once.  Block entropies come from a table with
+one entry per nonempty user set; for hypergraphical sources the table is put
+over its common denominator, so each score is a pair of Python ints compared
+by cross-multiplication.  The enumeration is still Bell-number sized, so the
+user count is capped (default 8, hard maximum 12).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -27,7 +31,6 @@ __all__ = [
     "MmiResult",
     "iter_partitions",
     "partition_info",
-    "residual_independence_gamma",
     "mmi",
     "DEFAULT_USER_CAP",
     "HARD_USER_CAP",
@@ -43,37 +46,30 @@ FLOAT_TIE_TOL = 1e-9
 
 
 def iter_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield all set partitions of range(n) as restricted growth strings.
+    """Yield every set partition of range(n) once, as a tuple of block bitmasks.
 
-    A restricted growth string assigns block label a[i] to element i with
-    a[0] = 0 and a[i] <= max(a[:i]) + 1, which enumerates each partition
-    exactly once.
+    Recursive placement: user i joins each existing block in turn, then opens
+    a new block.  Block j holds the users whose restricted-growth label is j,
+    and partitions come in lexicographic order of those labels, starting with
+    the single block.
     """
-    if n < 1:
-        return
-    a = [0] * n
-    b = [0] * n  # b[i] = max(a[:i+1]) running prefix maximum
-    while True:
-        yield tuple(a)
-        # increment from the right, respecting the growth constraint
-        i = n - 1
-        while i > 0 and a[i] == b[i - 1] + 1:
-            i -= 1
-        if i == 0:
+    blocks: list[int] = []
+
+    def place(i: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(blocks)
             return
-        a[i] += 1
-        b[i] = max(b[i - 1], a[i])
-        for j in range(i + 1, n):
-            a[j] = 0
-            b[j] = b[i]
+        bit = 1 << i
+        for j in range(len(blocks)):
+            blocks[j] |= bit
+            yield from place(i + 1)
+            blocks[j] ^= bit
+        blocks.append(bit)
+        yield from place(i + 1)
+        blocks.pop()
 
-
-def _labels_to_masks(labels: Sequence[int]) -> list[int]:
-    nblocks = max(labels) + 1
-    masks = [0] * nblocks
-    for i, lab in enumerate(labels):
-        masks[lab] |= 1 << i
-    return masks
+    if n >= 1:
+        yield from place(0)
 
 
 def _canonical_partition(source: SourceSpec, masks: Sequence[int]) -> Partition:
@@ -121,15 +117,6 @@ def partition_info(source: SourceSpec, partition: Sequence[Sequence[str]]) -> Fr
     return (acc - total) / (len(masks) - 1)
 
 
-def residual_independence_gamma(source: SourceSpec, partition: Sequence[Sequence[str]]) -> Fraction | float:
-    """Solve H(V) - g = sum over blocks of (H(block) - g) for g.
-
-    The unique solution is exactly I_P: subtracting g from the joint entropy
-    and from every block entropy balances once the shared part is removed.
-    """
-    return partition_info(source, partition)
-
-
 def _refines(fine: Partition, coarse: Partition) -> bool:
     return all(any(b <= c for c in coarse) for b in fine)
 
@@ -153,42 +140,12 @@ def mmi(source: SourceSpec, cap: int = DEFAULT_USER_CAP) -> MmiResult:
     n = len(source.users)
     if n > cap:
         raise ResourceCapError(f"{n} users exceed partition enumeration cap {cap}")
-    exact = isinstance(source, HypergraphicalSource)
-
-    ent_cache: dict[int, Fraction | float] = {}
-
-    def block_h(mask: int):
-        h = ent_cache.get(mask)
-        if h is None:
-            h = _block_entropy(source, mask)
-            ent_cache[mask] = h
-        return h
-
-    total = block_h((1 << n) - 1)
-
-    def info(masks: list[int]):
-        acc = sum(block_h(m) for m in masks)
-        return (acc - total) / (len(masks) - 1)
-
-    # Two passes: find the minimum, then collect minimizers (exact equality
-    # for rational sources, 1e-9 tie tolerance for floats).
-    best = None
-    for labels in iter_partitions(n):
-        masks = _labels_to_masks(labels)
-        if len(masks) < 2:
-            continue
-        value = info(masks)
-        if best is None or value < best:
-            best = value
-    assert best is not None
-    minimizer_masks = []
-    for labels in iter_partitions(n):
-        masks = _labels_to_masks(labels)
-        if len(masks) < 2:
-            continue
-        value = info(masks)
-        if value == best if exact else abs(value - best) <= FLOAT_TIE_TOL:
-            minimizer_masks.append(masks)
+    full = (1 << n) - 1
+    h = [None] + [_block_entropy(source, m) for m in range(1, full + 1)]
+    if isinstance(source, HypergraphicalSource):
+        value, minimizer_masks = _minimize_exact(h, n)
+    else:
+        value, minimizer_masks = _minimize_float(h, n)
     minimizers = tuple(_canonical_partition(source, m) for m in minimizer_masks)
     finest = max(minimizers, key=lambda p: (len(p), [sorted(b) for b in p]))
     for other in minimizers:
@@ -197,4 +154,54 @@ def mmi(source: SourceSpec, cap: int = DEFAULT_USER_CAP) -> MmiResult:
                 "finest minimizer does not refine a co-minimizer; "
                 f"finest={finest} other={other}"
             )
-    return MmiResult(best, finest, minimizers)
+    return MmiResult(value, finest, minimizers)
+
+
+def _minimize_exact(h: list, n: int) -> tuple[Fraction, list[tuple[int, ...]]]:
+    """Minimum of I_P and its minimizers in enumeration order, in integers.
+
+    With every entropy scaled to an int over the common denominator, I_P is
+    the pair (sum of block entropies - H(V), blocks - 1), and pairs compare
+    by cross-multiplication.
+    """
+    denom = math.lcm(*(x.denominator for x in h[1:]))
+    hi = [0] + [x.numerator * (denom // x.denominator) for x in h[1:]]
+    total = hi[-1]
+    best_s, best_k = 0, 0
+    found: list[tuple[int, ...]] = []
+    for blocks in iter_partitions(n):
+        k = len(blocks) - 1
+        if not k:
+            continue
+        s = sum(map(hi.__getitem__, blocks)) - total
+        if not best_k or s * best_k < best_s * k:
+            best_s, best_k = s, k
+            found = [blocks]
+        elif s * best_k == best_s * k:
+            found.append(blocks)
+    return Fraction(best_s, best_k * denom), found
+
+
+def _minimize_float(h: list, n: int) -> tuple[float, list[tuple[int, ...]]]:
+    """Minimum of I_P and every partition within FLOAT_TIE_TOL of it.
+
+    A partition within the tolerance of the final minimum was within it of
+    the running minimum when it was scored, so keeping the candidates within
+    the tolerance of the running minimum, and dropping those that fall out
+    of it when the minimum moves, leaves exactly that set.
+    """
+    total = h[-1]
+    best = None
+    found: list[tuple[float, tuple[int, ...]]] = []
+    for blocks in iter_partitions(n):
+        if len(blocks) < 2:
+            continue
+        value = (sum(map(h.__getitem__, blocks)) - total) / (len(blocks) - 1)
+        if best is None or value < best:
+            best = value
+            found = [c for c in found if c[0] - best <= FLOAT_TIE_TOL]
+            found.append((value, blocks))
+        elif value - best <= FLOAT_TIE_TOL:
+            found.append((value, blocks))
+    assert best is not None
+    return best, [blocks for _, blocks in found]

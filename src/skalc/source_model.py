@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -81,6 +81,7 @@ class HypergraphicalSource:
     edge_ids: tuple[str, ...]
     incidence: tuple[frozenset[int], ...]
     weights: tuple[Fraction, ...]
+    _edge_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.users)) != len(self.users):
@@ -97,6 +98,8 @@ class HypergraphicalSource:
                 raise ValidationError(f"edge {eid!r} references an unknown user")
             if w <= 0:
                 raise ValidationError(f"edge {eid!r} needs positive weight, got {w}")
+        masks = tuple(sum(1 << i for i in inc) for inc in self.incidence)
+        object.__setattr__(self, "_edge_masks", masks)
 
     @property
     def kind(self) -> str:
@@ -110,7 +113,7 @@ class HypergraphicalSource:
 
     def edge_masks(self) -> tuple[int, ...]:
         """Incidence sets as bitmasks over user indices."""
-        return tuple(sum(1 << i for i in inc) for inc in self.incidence)
+        return self._edge_masks
 
     def _mask_of(self, group: Iterable[str]) -> int:
         mask = 0
@@ -121,7 +124,7 @@ class HypergraphicalSource:
     def entropy_of_mask(self, mask: int) -> Fraction:
         """Total weight of edges touching the user set given as a bitmask."""
         total = Fraction(0)
-        for emask, w in zip(self.edge_masks(), self.weights):
+        for emask, w in zip(self._edge_masks, self.weights):
             if emask & mask:
                 total += w
         return total
@@ -350,7 +353,7 @@ def conditional_entropy(source: SourceSpec, group: Iterable[str]) -> Fraction | 
     if isinstance(source, HypergraphicalSource):
         mask = source._mask_of(group)
         total = Fraction(0)
-        for emask, w in zip(source.edge_masks(), source.weights):
+        for emask, w in zip(source._edge_masks, source.weights):
             if emask & ~mask == 0:
                 total += w
         return total

@@ -1,4 +1,11 @@
-"""Quantized brute-force reference for the two-user one-way curves.
+"""Brute-force references the fast paths are checked against.
+
+``mmi_two_pass`` is the two-pass ``Fraction`` partition search that
+``skalc.mmi.mmi`` replaced, kept unchanged together with its enumerator of
+restricted growth strings.
+
+``BruteForceReference`` is the quantized reference for the two-user one-way
+curves.
 
 Enumerates every channel q(t|x) whose rows live on the 1/step simplex grid
 with at most three clusters, scores (I(X;T), I(T;Y)) for each, and keeps two
@@ -16,7 +23,21 @@ one bucket of a kept one, so the envelope is exact to ~2.5e-4.
 
 from __future__ import annotations
 
+from typing import Iterator, Sequence
+
 import numpy as np
+
+from skalc.errors import InternalCheckError, ResourceCapError, ValidationError
+from skalc.mmi import (
+    DEFAULT_USER_CAP,
+    FLOAT_TIE_TOL,
+    HARD_USER_CAP,
+    MmiResult,
+    _block_entropy,
+    _canonical_partition,
+    _refines,
+)
+from skalc.source_model import HypergraphicalSource, SourceSpec
 
 _BUCKETS_PER_UNIT = 4096
 
@@ -142,3 +163,91 @@ class BruteForceReference:
             self.constrained.update(np.maximum(ix - iy, 0.0), iy)
         self.compressed.finish()
         self.constrained.finish()
+
+
+def iter_rgs(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield all set partitions of range(n) as restricted growth strings.
+
+    A restricted growth string assigns block label a[i] to element i with
+    a[0] = 0 and a[i] <= max(a[:i]) + 1, which enumerates each partition
+    exactly once.
+    """
+    if n < 1:
+        return
+    a = [0] * n
+    b = [0] * n  # b[i] = max(a[:i+1]) running prefix maximum
+    while True:
+        yield tuple(a)
+        # increment from the right, respecting the growth constraint
+        i = n - 1
+        while i > 0 and a[i] == b[i - 1] + 1:
+            i -= 1
+        if i == 0:
+            return
+        a[i] += 1
+        b[i] = max(b[i - 1], a[i])
+        for j in range(i + 1, n):
+            a[j] = 0
+            b[j] = b[i]
+
+
+def labels_to_masks(labels: Sequence[int]) -> list[int]:
+    nblocks = max(labels) + 1
+    masks = [0] * nblocks
+    for i, lab in enumerate(labels):
+        masks[lab] |= 1 << i
+    return masks
+
+
+def mmi_two_pass(source: SourceSpec, cap: int = DEFAULT_USER_CAP) -> MmiResult:
+    """Minimize I_P over all partitions with at least two blocks, in two passes."""
+    if cap > HARD_USER_CAP:
+        raise ValidationError(f"cap {cap} exceeds hard maximum {HARD_USER_CAP}")
+    n = len(source.users)
+    if n > cap:
+        raise ResourceCapError(f"{n} users exceed partition enumeration cap {cap}")
+    exact = isinstance(source, HypergraphicalSource)
+
+    ent_cache: dict = {}
+
+    def block_h(mask: int):
+        h = ent_cache.get(mask)
+        if h is None:
+            h = _block_entropy(source, mask)
+            ent_cache[mask] = h
+        return h
+
+    total = block_h((1 << n) - 1)
+
+    def info(masks: list[int]):
+        acc = sum(block_h(m) for m in masks)
+        return (acc - total) / (len(masks) - 1)
+
+    # Two passes: find the minimum, then collect minimizers (exact equality
+    # for rational sources, 1e-9 tie tolerance for floats).
+    best = None
+    for labels in iter_rgs(n):
+        masks = labels_to_masks(labels)
+        if len(masks) < 2:
+            continue
+        value = info(masks)
+        if best is None or value < best:
+            best = value
+    assert best is not None
+    minimizer_masks = []
+    for labels in iter_rgs(n):
+        masks = labels_to_masks(labels)
+        if len(masks) < 2:
+            continue
+        value = info(masks)
+        if value == best if exact else abs(value - best) <= FLOAT_TIE_TOL:
+            minimizer_masks.append(masks)
+    minimizers = tuple(_canonical_partition(source, m) for m in minimizer_masks)
+    finest = max(minimizers, key=lambda p: (len(p), [sorted(b) for b in p]))
+    for other in minimizers:
+        if not _refines(finest, other):
+            raise InternalCheckError(
+                "finest minimizer does not refine a co-minimizer; "
+                f"finest={finest} other={other}"
+            )
+    return MmiResult(best, finest, minimizers)

@@ -6,6 +6,7 @@ import pytest
 from skalc.capacity import (
     EDGE_CAP,
     LB_USER_CAP,
+    _partition_coefficients,
     alpha_s_lower_bound,
     duality_upper_bound,
     gk_floor,
@@ -19,6 +20,7 @@ from skalc.errors import InternalCheckError, ResourceCapError, ValidationError
 from skalc.mmi import mmi
 from skalc.source_model import entropy, parse_source, restrict
 
+import _oracle
 import _sources
 
 
@@ -131,6 +133,22 @@ def test_lower_bound_saturates_at_interaction():
         assert lb.curve.cap() == value
         assert lb.curve.value_at(total) == value
         assert check_curve(lb.curve)
+
+
+def test_partition_coefficients_follow_rgs_order():
+    rng = random.Random(11)
+    for n in range(2, 7):
+        src = parse_source(_sources.random_hypergraph(rng, n_users=n))
+        rows, nblocks = [], []
+        for labels in _oracle.iter_rgs(n):
+            masks = _oracle.labels_to_masks(labels)
+            if len(masks) < 2:
+                continue
+            rows.append(tuple(
+                w * (sum(1 for bm in masks if bm & emask) - 1) / (len(masks) - 1)
+                for emask, w in zip(src.edge_masks(), src.weights)))
+            nblocks.append(len(masks))
+        assert _partition_coefficients(src) == (rows, nblocks)
 
 
 def test_lower_bound_caps():

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+import skalc.cli
 from skalc.cli import main
+from skalc.errors import InternalCheckError
 from skalc.protocol_sim import scheme_from_json
 from skalc.source_model import parse_rational
 
@@ -172,17 +174,17 @@ def test_validation_exit_code(capsys, write_source):
     assert err.startswith("error:")
 
 
-def test_threads_env(capsys, write_source, monkeypatch):
+def test_internal_check_exit_code(capsys, write_source, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalCheckError("finest minimizer does not refine a co-minimizer")
+
+    monkeypatch.setattr(skalc.cli, "mmi", broken)
     path = write_source(_sources.TRIANGLE)
-    monkeypatch.setenv("SKALC_THREADS", "4")
-    code, _, _ = run_cli(capsys, "mmi", path)
-    assert code == 0
-    monkeypatch.setenv("SKALC_THREADS", "0")
-    code, _, err = run_cli(capsys, "mmi", path)
-    assert code == 2
-    monkeypatch.setenv("SKALC_THREADS", "plenty")
-    code, _, err = run_cli(capsys, "mmi", path)
-    assert code == 2
+    code, out, err = run_cli(capsys, "mmi", path)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal check:")
+    assert "Traceback" not in err
 
 
 def test_module_entry_point(write_source):

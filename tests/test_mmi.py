@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -10,10 +11,10 @@ from skalc.mmi import (
     iter_partitions,
     mmi,
     partition_info,
-    residual_independence_gamma,
 )
 from skalc.source_model import entropy, parse_source, restrict
 
+import _oracle
 import _sources
 
 
@@ -38,14 +39,25 @@ def test_example1_minimizers(example1):
         assert partition_info(example1, part) == F(2)
 
 
+def _labels(blocks, n):
+    return tuple(next(j for j, m in enumerate(blocks) if m >> i & 1) for i in range(n))
+
+
 def test_iter_partitions_enumerates_all():
-    parts = list(iter_partitions(4))
+    parts = [_labels(blocks, 4) for blocks in iter_partitions(4)]
     assert len(parts) == 15
     assert len(set(parts)) == 15
     for rgs in parts:
         assert rgs[0] == 0
         for i in range(1, len(rgs)):
             assert rgs[i] <= max(rgs[:i]) + 1
+
+
+def test_iter_partitions_matches_rgs_order():
+    assert list(iter_partitions(0)) == []
+    for n in range(1, 8):
+        expected = [tuple(_oracle.labels_to_masks(labels)) for labels in _oracle.iter_rgs(n)]
+        assert list(iter_partitions(n)) == expected
 
 
 def test_partition_info_manual(example1):
@@ -57,17 +69,6 @@ def test_partition_info_manual(example1):
         partition_info(example1, [["1"], ["2"]])
     with pytest.raises(ValidationError):
         partition_info(example1, [["1", "2"], ["2", "3"]])
-
-
-def test_residual_gamma_equals_partition_info(example1, triangle):
-    rng = random.Random(3)
-    for src in (example1, triangle):
-        for part in ([["1"], ["2"], ["3"]], [["1", "2"], ["3"]], [["1"], ["2", "3"]]):
-            assert residual_independence_gamma(src, part) == partition_info(src, part)
-    for _ in range(5):
-        src = parse_source(_sources.random_hypergraph(rng, n_users=4))
-        part = [["0", "1"], ["2", "3"]]
-        assert residual_independence_gamma(src, part) == partition_info(src, part)
 
 
 def test_mmi_scales_with_weights(triangle):
@@ -115,3 +116,34 @@ def test_user_caps():
     huge = parse_source(_sources.random_hypergraph(rng, n_users=HARD_USER_CAP + 1, n_edges=16))
     with pytest.raises(ResourceCapError):
         mmi(huge, cap=HARD_USER_CAP)
+
+
+def _assert_matches_oracle(src):
+    got, want = mmi(src), _oracle.mmi_two_pass(src)
+    assert got.value == want.value
+    assert type(got.value) is type(want.value)
+    assert got.finest == want.finest
+    assert got.minimizers == want.minimizers
+
+
+def test_mmi_matches_two_pass_oracle_on_hypergraphs():
+    rng = random.Random(2024)
+    for i in range(105):
+        n = 2 + i % 7
+        _assert_matches_oracle(parse_source(_sources.random_hypergraph(
+            rng, n_users=n, integer_weights=i % 2 == 0)))
+
+
+def test_mmi_matches_two_pass_oracle_on_pmfs():
+    rng = random.Random(5)
+    sources = [_sources.hypergraph_as_pmf(_sources.TRIANGLE),
+               _sources.hypergraph_as_pmf(_sources.EXAMPLE1)]
+    for n in (3, 4, 3, 4):
+        table = [[*syms, rng.randint(1, 9)]
+                 for syms in itertools.product((0, 1), repeat=n) if rng.random() < 0.7]
+        mass = sum(row[-1] for row in table)
+        sources.append({"kind": "pmf", "users": [str(i) for i in range(n)],
+                        "alphabets": [2] * n,
+                        "table": [[*row[:-1], row[-1] / mass] for row in table]})
+    for data in sources:
+        _assert_matches_oracle(parse_source(data))
