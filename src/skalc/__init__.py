@@ -41,18 +41,27 @@ from .source_model import (
     parse_source,
     restrict,
 )
-from .two_user import (
-    ChannelWitness,
-    DualityReport,
-    SweepResult,
-    compressed_curve_one_sided,
-    constrained_curve_one_way,
-    duality_check,
-    min_sufficient_statistic,
-    mutual_information,
-    one_way_complexity,
-    run_sweep,
-)
+# two_user needs numpy; it is imported on first use of one of its names.
+_TWO_USER_NAMES = frozenset({
+    "ChannelWitness",
+    "DualityReport",
+    "SweepResult",
+    "compressed_curve_one_sided",
+    "constrained_curve_one_way",
+    "duality_check",
+    "min_sufficient_statistic",
+    "mutual_information",
+    "one_way_complexity",
+    "run_sweep",
+})
+
+
+def __getattr__(name):
+    if name in _TWO_USER_NAMES:
+        from . import two_user
+        return getattr(two_user, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

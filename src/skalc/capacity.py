@@ -10,11 +10,11 @@ known exactly and both curves here are closed forms.  In general we compute:
   and take the best value under the entropy budget.  Maximizing over
   fractional retentions is an exact rational LP (partition constraints,
   box constraints, one budget row); the full curve in ``alpha`` is
-  reconstructed breakpoint-by-breakpoint from LP values and duals.
-  Plain 0/1 edge subsets are enumerated as well: they supply readable
-  witnesses and a cross-check, but mixing subsets alone can undershoot
-  (a two-edge star with weights 1 and 2 already needs a half-retained
-  edge), which is why the LP search is the authority.
+  reconstructed breakpoint-by-breakpoint from LP values and duals.  The
+  witness at each breakpoint is the LP's retention vector there; it is a
+  plain 0/1 edge subset exactly when the LP's vector is 0/1.  Subsets
+  alone can undershoot (a two-edge star with weights 1 and 2 already
+  needs a half-retained edge), which is why the LP is the authority.
 * a floor from the common part all users share outright, and
 * an upper bound transferred from any valid bound on the
   rate-constrained capacity via the budget-splitting inequality
@@ -26,8 +26,10 @@ pinch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .curves import CapacityCurve, upper_concave_envelope
@@ -61,7 +63,6 @@ __all__ = [
 
 EDGE_CAP = 20
 LB_USER_CAP = 8
-_SUBSET_OP_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -124,37 +125,33 @@ class LowerBoundResult:
     witnesses: Mapping[tuple[Fraction, Fraction], LowerBoundWitness]
 
 
-def _partition_coefficients(source: HypergraphicalSource):
-    """Per-partition linear forms: I_P(f) = sum_e coeff[P][e] * f_e."""
+def _partition_coefficients(source: HypergraphicalSource) -> tuple[list[tuple[int, ...]], int]:
+    """Per-partition linear forms I_P(f) = sum_e coeff[P][e] * f_e / scale.
+
+    The rows are ints over one scale D * lcm(1..n-1), with D the lcm of the
+    weight denominators, in ``iter_partitions`` order (single block skipped).
+    """
     n = len(source.users)
     emasks = source.edge_masks()
-    weights = source.weights
+    denom = math.lcm(*(w.denominator for w in source.weights))
+    scaled = [w.numerator * (denom // w.denominator) for w in source.weights]
+    blocks_lcm = math.lcm(*range(1, n))
     coeffs = []
-    nblocks_of = []
     for block_masks in iter_partitions(n):
         nb = len(block_masks)
         if nb < 2:
             continue
-        denom = nb - 1
-        row = []
-        for emask, w in zip(emasks, weights):
-            touched = sum(1 for bm in block_masks if bm & emask)
-            row.append(w * (touched - 1) / denom)
-        coeffs.append(tuple(row))
-        nblocks_of.append(nb)
-    return coeffs, nblocks_of
-
-
-def _dot(row: Sequence[Fraction], f: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for a, b in zip(row, f):
-        if a and b:
-            total += a * b
-    return total
+        per_block = blocks_lcm // (nb - 1)
+        coeffs.append(tuple(
+            w * (sum(1 for bm in block_masks if bm & emask) - 1) * per_block
+            for emask, w in zip(emasks, scaled)
+        ))
+    return coeffs, denom * blocks_lcm
 
 
 def _best_restriction(
-    coeffs: list[tuple[Fraction, ...]],
+    coeffs: list[tuple[int, ...]],
+    scale: int,
     weights: Sequence[Fraction],
     alpha: Fraction,
     seed_active: list[int],
@@ -169,32 +166,27 @@ def _best_restriction(
     m = len(weights)
     active = list(seed_active)
     for _ in range(len(coeffs) + 2):
-        rows = []
-        rhs = []
-        for p in active:
-            rows.append([Fraction(1)] + [-cf for cf in coeffs[p]])
-            rhs.append(Fraction(0))
+        rows = [[scale] + [-cf for cf in coeffs[p]] for p in active]
+        rhs = [0] * len(rows)
         budget_row = len(rows)
-        rows.append([Fraction(0)] + [Fraction(w) for w in weights])
+        rows.append([0, *weights])
         rhs.append(alpha)
         for e in range(m):
-            box = [Fraction(0)] * (m + 1)
-            box[1 + e] = Fraction(1)
+            box = [0] * (m + 1)
+            box[1 + e] = 1
             rows.append(box)
-            rhs.append(Fraction(1))
-        c = [Fraction(-1)] + [Fraction(0)] * m
-        sol = simplex_min(c, rows, rhs)
+            rhs.append(1)
+        sol = simplex_min([-1] + [0] * m, rows, rhs)
         t_star = sol.x[0]
         f_star = sol.x[1:]
-        worst_p = -1
-        worst = None
-        for p, row in enumerate(coeffs):
-            val = _dot(row, f_star)
-            if worst is None or val < worst:
-                worst = val
-                worst_p = p
-        if worst is not None and worst < t_star:
-            active.append(worst_p)
+        # Separation in ints: with f* = g / q, partition P scores
+        # sum_e coeff[P][e] * g_e = I_P(f*) * scale * q.
+        q = math.lcm(*(fe.denominator for fe in f_star))
+        g = [fe.numerator * (q // fe.denominator) for fe in f_star]
+        scores = [sum(map(mul, row, g)) for row in coeffs]
+        worst = min(scores)
+        if worst < t_star * scale * q:
+            active.append(scores.index(worst))
             continue
         slope = -sol.duals[budget_row]
         return t_star, tuple(f_star), slope
@@ -244,52 +236,15 @@ def _reconstruct_curve(evaluate: Callable, a_lo: Fraction, a_hi: Fraction):
     return store
 
 
-def _enumerate_subsets(source: HypergraphicalSource, coeffs):
-    """All 0/1 edge subsets as (entropy, value, mask) points, Gray-code order.
-
-    Skipped (returns None) when 2^|E| times the partition count would blow
-    the operation budget; the LP search already determines the curve.
-    """
-    m = len(source.weights)
-    if m > EDGE_CAP:
-        raise ResourceCapError(f"{m} edges exceed the subset enumeration cap {EDGE_CAP}")
-    if (1 << m) * max(1, len(coeffs)) > _SUBSET_OP_BUDGET:
-        return None
-    weights = source.weights
-    vals = [Fraction(0)] * len(coeffs)
-    h = Fraction(0)
-    mask = 0
-    points = [(Fraction(0), Fraction(0), 0)]
-    for i in range(1, 1 << m):
-        bit = (i & -i).bit_length() - 1
-        mask ^= 1 << bit
-        sign = 1 if mask >> bit & 1 else -1
-        h += sign * weights[bit]
-        for p, row in enumerate(coeffs):
-            cf = row[bit]
-            if cf:
-                vals[p] += sign * cf
-        points.append((h, min(vals) if vals else Fraction(0), mask))
-    return points
-
-
 def _restriction_from_fractions(source: HypergraphicalSource, f: Sequence[Fraction]) -> EdgeRestriction:
     return EdgeRestriction({eid: Fraction(fe) for eid, fe in zip(source.edge_ids, f)})
-
-
-def _restriction_from_mask(source: HypergraphicalSource, mask: int) -> EdgeRestriction:
-    return EdgeRestriction(
-        {eid: Fraction(1 if mask >> k & 1 else 0) for k, eid in enumerate(source.edge_ids)}
-    )
 
 
 def lower_bound_curve(source: HypergraphicalSource, cap: int = LB_USER_CAP) -> LowerBoundResult:
     """Best decremental key rate as a function of the entropy budget.
 
     Returns the exact concave piecewise-linear curve together with a witness
-    restriction per breakpoint.  Witnesses prefer plain edge subsets when one
-    attains the breakpoint; otherwise they carry the fractional retention
-    found by the LP.
+    restriction per breakpoint: the fractional retention the LP found there.
     """
     if not isinstance(source, HypergraphicalSource):
         raise ValidationError("lower_bound_curve needs a hypergraphical source")
@@ -304,42 +259,25 @@ def lower_bound_curve(source: HypergraphicalSource, cap: int = LB_USER_CAP) -> L
         witness = LowerBoundWitness(((Fraction(1), EdgeRestriction({}), zero, zero),))
         return LowerBoundResult(curve, {(zero, zero): witness})
 
-    coeffs, _ = _partition_coefficients(source)
+    coeffs, scale = _partition_coefficients(source)
     h_full = source.total_entropy()
-    ones = tuple(Fraction(1) for _ in source.weights)
-    full_vals = [_dot(row, ones) for row in coeffs]
-    seed = [min(range(len(coeffs)), key=lambda p: full_vals[p])]
+    full_vals = [sum(row) for row in coeffs]
+    seed = [full_vals.index(min(full_vals))]
 
     def evaluate(alpha: Fraction):
-        return _best_restriction(coeffs, source.weights, alpha, seed)
+        return _best_restriction(coeffs, scale, source.weights, alpha, seed)
 
     store = _reconstruct_curve(evaluate, zero, h_full)
     curve = upper_concave_envelope([(a, v) for a, (v, _, _) in store.items()])
 
-    subset_points = _enumerate_subsets(source, coeffs)
-    subset_at: dict[tuple[Fraction, Fraction], int] = {}
-    if subset_points is not None:
-        for h, v, mask in subset_points:
-            if v > curve.value_at(h):
-                raise InternalCheckError(
-                    f"edge subset {mask:b} beats the LP envelope at entropy {h}"
-                )
-            key = (h, v)
-            if key not in subset_at or mask < subset_at[key]:
-                subset_at[key] = mask
-
     witnesses = {}
     for x, y in curve.points:
-        if (x, y) in subset_at:
-            restriction = _restriction_from_mask(source, subset_at[(x, y)])
-            entropy_used = x
-        else:
-            rec = store.get(x)
-            if rec is None or rec[0] != y:
-                raise InternalCheckError(f"no witness evaluation stored for breakpoint {(x, y)}")
-            f = rec[1]
-            restriction = _restriction_from_fractions(source, f)
-            entropy_used = sum((w * fe for w, fe in zip(source.weights, f)), zero)
+        rec = store.get(x)
+        if rec is None or rec[0] != y:
+            raise InternalCheckError(f"no witness evaluation stored for breakpoint {(x, y)}")
+        f = rec[1]
+        restriction = _restriction_from_fractions(source, f)
+        entropy_used = sum((w * fe for w, fe in zip(source.weights, f)), zero)
         witnesses[(x, y)] = LowerBoundWitness(((Fraction(1), restriction, y, entropy_used),))
     return LowerBoundResult(curve, witnesses)
 

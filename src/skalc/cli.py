@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import capacity as cap_mod
-from . import protocol_sim, two_user
+from . import protocol_sim
 from .curves import CapacityCurve
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 from .mmi import DEFAULT_USER_CAP, mmi
@@ -142,6 +142,8 @@ def _cmd_sandwich(args) -> int:
 
 
 def _cmd_two_user(args) -> int:
+    from . import two_user  # numpy is loaded only for this command
+
     source = load_source(args.source)
     grid = [float(g) for g in _parse_grid(args.grid)]
     sweep = two_user.run_sweep(source, seed=args.seed)
@@ -179,37 +181,28 @@ def _cmd_two_user(args) -> int:
 def _cmd_simulate(args) -> int:
     source = load_source(args.source)
     if args.scheme == "tree":
-        packed = protocol_sim.tree_packing_scheme(source, args.blocklength)
-        report = protocol_sim.verify(packed.instance, packed.scheme)
-        data = {
-            "mode": "tree",
-            "n": args.blocklength,
-            "seed": args.seed,
-            "trees": len(packed.trees),
-            "key_bits": report.key_bits,
-            "transcript_bits": report.transcript_bits,
-            "recoverable": dict(sorted(report.recoverable.items())),
-            "secret": report.perfectly_secret,
-            "key_uniform": report.key_uniform,
-        }
+        built = protocol_sim.tree_packing_scheme(source, args.blocklength)
+        extra = {"trees": len(built.trees)}
     else:
-        binned = protocol_sim.random_binning_omniscience(source, args.blocklength, args.seed)
-        report = protocol_sim.verify(binned.instance, binned.scheme)
-        data = {
-            "mode": "binning",
-            "n": args.blocklength,
-            "seed": args.seed,
-            "achieved": binned.achieved,
-            "key_bits": report.key_bits,
-            "transcript_bits": report.transcript_bits,
-            "recoverable": dict(sorted(report.recoverable.items())),
-            "secret": report.perfectly_secret,
-            "key_uniform": report.key_uniform,
-            "rates": {u: format_number(r) for u, r in sorted(binned.rates.items())},
+        built = protocol_sim.random_binning_omniscience(source, args.blocklength, args.seed)
+        extra = {
+            "achieved": built.achieved,
+            "rates": {u: format_number(r) for u, r in sorted(built.rates.items())},
         }
+    report = protocol_sim.verify(built.instance, built.scheme)
+    data = {
+        "mode": args.scheme,
+        "n": args.blocklength,
+        "seed": args.seed,
+        "key_bits": report.key_bits,
+        "transcript_bits": report.transcript_bits,
+        "recoverable": dict(sorted(report.recoverable.items())),
+        "secret": report.perfectly_secret,
+        "key_uniform": report.key_uniform,
+        **extra,
+    }
     if args.dump_scheme:
-        data["scheme"] = json.loads(protocol_sim.scheme_to_json(
-            packed.scheme if args.scheme == "tree" else binned.scheme))
+        data["scheme"] = json.loads(protocol_sim.scheme_to_json(built.scheme))
     _emit_json(data)
     return 0
 

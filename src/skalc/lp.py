@@ -1,9 +1,20 @@
-"""Dense tableau simplex over exact rationals.
+"""Dense tableau simplex over exact integers.
 
 Solves  min c.x  subject to  A x <= b,  x >= 0  with b >= 0, so the slack
 basis is feasible from the start and no phase-1 is needed.  Entering and
 leaving variables follow Bland's rule (lowest eligible index), which rules
-out cycling.  Everything is Fraction arithmetic; results are exact.
+out cycling.
+
+The arithmetic is fraction-free (Edmonds 1967; Bareiss 1968).  Each
+constraint row and its right-hand side are scaled by the lcm of their
+denominators, the objective likewise, and the tableau is kept as Python
+ints over one positive common denominator d.  A pivot leaves the pivot row
+as it is, replaces every other row (objective included) by
+(row * piv - row[enter] * pivot_row) // d, which divides exactly, and sets
+d = piv.  Positive row scaling changes neither the signs of the reduced
+costs nor the order of the ratios, so the pivot sequence is the one Bland's
+rule takes on the unscaled rational tableau.  ``Fraction`` appears only in
+the returned solution; results are exact.
 
 The solution carries the constraint duals, read off the final reduced costs
 of the slack columns.  For this minimization form each dual is <= 0 and
@@ -12,6 +23,7 @@ equals the sensitivity d(value)/d(b_i).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,6 +42,16 @@ class LpSolution:
     duals: tuple[Fraction, ...]
 
 
+def _exact(v):
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    """Ints k * v for exact values v, with k the lcm of their denominators."""
+    k = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (k // v.denominator) for v in values], k
+
+
 def simplex_min(
     c: Sequence[Fraction],
     rows: Sequence[Sequence[Fraction]],
@@ -40,66 +62,74 @@ def simplex_min(
     m = len(rows)
     if len(rhs) != m or any(len(r) != n for r in rows):
         raise ValidationError("inconsistent LP dimensions")
-    b = [Fraction(v) for v in rhs]
+    b = [_exact(v) for v in rhs]
     if any(v < 0 for v in b):
         raise ValidationError("simplex_min needs nonnegative right-hand sides")
 
-    # Tableau columns: n structural, m slack, then the rhs.
-    width = n + m + 1
+    # Tableau columns: n structural, m slack, then the rhs.  Row i is scaled
+    # by k_i and its slack by the same factor, so the slack column stays 1.
+    last = n + m
     tab = []
+    scales = []
     for i, row in enumerate(rows):
-        line = [Fraction(v) for v in row] + [Fraction(0)] * m + [b[i]]
-        line[n + i] = Fraction(1)
+        ints, k = _over_lcm([*map(_exact, row), b[i]])
+        line = ints[:n] + [0] * m + ints[n:]
+        line[n + i] = 1
         tab.append(line)
-    obj = [Fraction(v) for v in c] + [Fraction(0)] * (m + 1)
+        scales.append(k)
+    obj, k_c = _over_lcm([_exact(v) for v in c])
+    obj += [0] * (m + 1)
     basis = list(range(n, n + m))
+    d = 1
 
     for _ in range(_MAX_PIVOTS):
         enter = -1
-        for j in range(n + m):
+        for j in range(last):
             if obj[j] < 0:
                 enter = j
                 break
         if enter < 0:
             break
+        # Ratio test rhs_i / a_i by cross-multiplication; ties go to the
+        # lowest basic variable index.
         leave = -1
-        best = None
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][width - 1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                if leave < 0:
+                    leave, best_a, best_b = i, a, tab[i][last]
+                    continue
+                lhs = tab[i][last] * best_a
+                rhs_ = best_b * a
+                if lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[leave]):
+                    leave, best_a, best_b = i, a, tab[i][last]
         if leave < 0:
             raise InternalCheckError("LP is unbounded below")
-        piv = tab[leave][enter]
         prow = tab[leave]
-        if piv != 1:
-            for j in range(width):
-                prow[j] /= piv
+        piv = prow[enter]
         for i in range(m):
             if i == leave:
                 continue
-            f = tab[i][enter]
+            line = tab[i]
+            f = line[enter]
             if f:
-                line = tab[i]
-                for j in range(width):
-                    if prow[j]:
-                        line[j] -= f * prow[j]
+                tab[i] = [(a * piv - f * p) // d for a, p in zip(line, prow)]
+            elif piv != d:
+                tab[i] = [a * piv // d for a in line]
         f = obj[enter]
-        if f:
-            for j in range(width):
-                if prow[j]:
-                    obj[j] -= f * prow[j]
+        obj = [(a * piv - f * p) // d for a, p in zip(obj, prow)]
+        d = piv
         basis[leave] = enter
     else:
         raise InternalCheckError("simplex pivot budget exhausted")
 
-    x = [Fraction(0)] * (n + m)
+    # Every basic column holds d in its own row, so a basic value is rhs / d.
+    x = [Fraction(0)] * n
     for i, var in enumerate(basis):
-        x[var] = tab[i][width - 1]
-    value = sum((ci * xi for ci, xi in zip(c, x[:n])), Fraction(0))
-    # Reduced cost of slack i is -dual_i (slack has zero objective weight).
-    duals = tuple(-obj[n + i] for i in range(m))
-    return LpSolution(value, tuple(x[:n]), duals)
+        if var < n:
+            x[var] = Fraction(tab[i][last], d)
+    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
+    # Reduced cost of slack i is -dual_i (slack has zero objective weight);
+    # undo the row, slack and objective scaling.
+    duals = tuple(Fraction(-obj[n + i] * k, d * k_c) for i, k in enumerate(scales))
+    return LpSolution(value, tuple(x), duals)

@@ -76,9 +76,8 @@ def rco(source: SourceSpec) -> RcoResult:
     # i of y_B at most 1.  Feasible at y = 0, so a single simplex phase runs.
     cols = len(masks)
     c = [-hv for hv in h]
-    rows = [[Fraction(1) if mask >> i & 1 else Fraction(0) for mask in masks] for i in range(n)]
-    ones = [Fraction(1)] * n
-    sol = simplex_min(c, rows, ones)
+    rows = [[mask >> i & 1 for mask in masks] for i in range(n)]
+    sol = simplex_min(c, rows, [1] * n)
     value = -sol.value
     rates = [-d for d in sol.duals]
 

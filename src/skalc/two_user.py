@@ -156,10 +156,16 @@ class SweepResult:
     seed: int
 
 
-def _channel_scores(q: np.ndarray, px: np.ndarray, pygx: np.ndarray, py: np.ndarray):
-    """(i_x, i_y) in nats for a batch of channels q: (N, X, T)."""
+def _marginals(q: np.ndarray, px: np.ndarray, pygx: np.ndarray):
+    """(q(t), q(t, y)) for a batch of channels q: (N, X, T)."""
     qt = np.einsum("x,nxt->nt", px, q)
     qty = np.einsum("x,nxt,xy->nty", px, q, pygx)
+    return qt, qty
+
+
+def _channel_scores(q: np.ndarray, px: np.ndarray, py: np.ndarray, qt: np.ndarray,
+                    qty: np.ndarray):
+    """(i_x, i_y) in nats for a batch of channels q with marginals (qt, qty)."""
     qt_safe = np.maximum(qt, 1e-300)
     ratio = q / qt_safe[:, None, :]
     ix = np.einsum("x,nxt->n", px, np.where(q > 0, q * np.log(np.maximum(ratio, 1e-300)), 0.0))
@@ -179,9 +185,8 @@ def _ib_batch(px, pygx, h_row, py, q, beta_flat):
     beta = beta_flat[:, None, None]
     prev_obj = np.full(len(beta_flat), np.inf)
     obj_delta = np.full(len(beta_flat), np.inf)
+    qt, qty = _marginals(q, px, pygx)
     for _ in range(MAX_ITERS):
-        qt = np.einsum("x,nxt->nt", px, q)
-        qty = np.einsum("x,nxt,xy->nty", px, q, pygx)
         qt_safe = np.maximum(qt, 1e-300)
         qygt = qty / qt_safe[:, :, None]
         log_qygt = np.log(np.maximum(qygt, 1e-300))
@@ -192,7 +197,8 @@ def _ib_batch(px, pygx, h_row, py, q, beta_flat):
         qn = np.exp(logits)
         qn /= qn.sum(axis=2, keepdims=True)
         q = qn
-        ix, iy = _channel_scores(q, px, pygx, py)
+        qt, qty = _marginals(q, px, pygx)
+        ix, iy = _channel_scores(q, px, py, qt, qty)
         obj = ix - beta_flat * iy
         obj_delta = np.abs(obj - prev_obj)
         prev_obj = obj
@@ -264,7 +270,7 @@ def run_sweep(
     def cloud():
         qs = np.concatenate([b[0] for b in batches], axis=0)
         conv = np.concatenate([b[1] for b in batches])
-        ix, iy = _channel_scores(qs, px, pygx, py)
+        ix, iy = _channel_scores(qs, px, py, *_marginals(qs, px, pygx))
         return qs, conv, np.maximum(ix, 0.0) / _LN2, np.maximum(iy, 0.0) / _LN2
 
     for _ in range(REFINE_ROUNDS):

@@ -4,6 +4,17 @@
 ``skalc.mmi.mmi`` replaced, kept unchanged together with its enumerator of
 restricted growth strings.
 
+``simplex_min`` is the ``Fraction`` tableau simplex that the integer
+``skalc.lp.simplex_min`` replaced, kept unchanged; the integer version must
+return an identical ``LpSolution``.
+
+``enumerate_subsets`` is the 0/1 edge-subset scan that ``lower_bound_curve``
+used to run as a cross-check, kept unchanged; no subset point may lie above
+the LP envelope.  ``partition_coefficients`` builds its ``Fraction`` rows
+from the restricted growth strings.  ``best_restriction`` is the
+``Fraction`` cutting-plane loop over those rows, kept unchanged with its
+``_dot`` separation; the integer loop must add the same cuts.
+
 ``BruteForceReference`` is the quantized reference for the two-user one-way
 curves.
 
@@ -23,11 +34,14 @@ one bucket of a kept one, so the envelope is exact to ~2.5e-4.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from skalc.capacity import EDGE_CAP
 from skalc.errors import InternalCheckError, ResourceCapError, ValidationError
+from skalc.lp import _MAX_PIVOTS, LpSolution
 from skalc.mmi import (
     DEFAULT_USER_CAP,
     FLOAT_TIE_TOL,
@@ -40,6 +54,7 @@ from skalc.mmi import (
 from skalc.source_model import HypergraphicalSource, SourceSpec
 
 _BUCKETS_PER_UNIT = 4096
+_SUBSET_OP_BUDGET = 2_000_000
 
 
 def _compositions(total: int, parts: int):
@@ -251,3 +266,176 @@ def mmi_two_pass(source: SourceSpec, cap: int = DEFAULT_USER_CAP) -> MmiResult:
                 f"finest={finest} other={other}"
             )
     return MmiResult(best, finest, minimizers)
+
+
+def simplex_min(
+    c: Sequence[Fraction],
+    rows: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+) -> LpSolution:
+    """Minimize c.x over {A x <= b, x >= 0}; requires b >= 0."""
+    n = len(c)
+    m = len(rows)
+    if len(rhs) != m or any(len(r) != n for r in rows):
+        raise ValidationError("inconsistent LP dimensions")
+    b = [Fraction(v) for v in rhs]
+    if any(v < 0 for v in b):
+        raise ValidationError("simplex_min needs nonnegative right-hand sides")
+
+    # Tableau columns: n structural, m slack, then the rhs.
+    width = n + m + 1
+    tab = []
+    for i, row in enumerate(rows):
+        line = [Fraction(v) for v in row] + [Fraction(0)] * m + [b[i]]
+        line[n + i] = Fraction(1)
+        tab.append(line)
+    obj = [Fraction(v) for v in c] + [Fraction(0)] * (m + 1)
+    basis = list(range(n, n + m))
+
+    for _ in range(_MAX_PIVOTS):
+        enter = -1
+        for j in range(n + m):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][width - 1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise InternalCheckError("LP is unbounded below")
+        piv = tab[leave][enter]
+        prow = tab[leave]
+        if piv != 1:
+            for j in range(width):
+                prow[j] /= piv
+        for i in range(m):
+            if i == leave:
+                continue
+            f = tab[i][enter]
+            if f:
+                line = tab[i]
+                for j in range(width):
+                    if prow[j]:
+                        line[j] -= f * prow[j]
+        f = obj[enter]
+        if f:
+            for j in range(width):
+                if prow[j]:
+                    obj[j] -= f * prow[j]
+        basis[leave] = enter
+    else:
+        raise InternalCheckError("simplex pivot budget exhausted")
+
+    x = [Fraction(0)] * (n + m)
+    for i, var in enumerate(basis):
+        x[var] = tab[i][width - 1]
+    value = sum((ci * xi for ci, xi in zip(c, x[:n])), Fraction(0))
+    # Reduced cost of slack i is -dual_i (slack has zero objective weight).
+    duals = tuple(-obj[n + i] for i in range(m))
+    return LpSolution(value, tuple(x[:n]), duals)
+
+
+def partition_coefficients(source: HypergraphicalSource) -> list[tuple[Fraction, ...]]:
+    """Rows I_P(f) = sum_e row[e] * f_e per partition with >= 2 blocks, rgs order."""
+    rows = []
+    for labels in iter_rgs(len(source.users)):
+        masks = labels_to_masks(labels)
+        if len(masks) < 2:
+            continue
+        rows.append(tuple(
+            w * (sum(1 for bm in masks if bm & emask) - 1) / (len(masks) - 1)
+            for emask, w in zip(source.edge_masks(), source.weights)))
+    return rows
+
+
+def enumerate_subsets(source: HypergraphicalSource, coeffs):
+    """All 0/1 edge subsets as (entropy, value, mask) points, Gray-code order.
+
+    Skipped (returns None) when 2^|E| times the partition count would blow
+    the operation budget; the LP search already determines the curve.
+    """
+    m = len(source.weights)
+    if m > EDGE_CAP:
+        raise ResourceCapError(f"{m} edges exceed the subset enumeration cap {EDGE_CAP}")
+    if (1 << m) * max(1, len(coeffs)) > _SUBSET_OP_BUDGET:
+        return None
+    weights = source.weights
+    vals = [Fraction(0)] * len(coeffs)
+    h = Fraction(0)
+    mask = 0
+    points = [(Fraction(0), Fraction(0), 0)]
+    for i in range(1, 1 << m):
+        bit = (i & -i).bit_length() - 1
+        mask ^= 1 << bit
+        sign = 1 if mask >> bit & 1 else -1
+        h += sign * weights[bit]
+        for p, row in enumerate(coeffs):
+            cf = row[bit]
+            if cf:
+                vals[p] += sign * cf
+        points.append((h, min(vals) if vals else Fraction(0), mask))
+    return points
+
+
+def _dot(row: Sequence[Fraction], f: Sequence[Fraction]) -> Fraction:
+    total = Fraction(0)
+    for a, b in zip(row, f):
+        if a and b:
+            total += a * b
+    return total
+
+
+def best_restriction(
+    coeffs: list[tuple[Fraction, ...]],
+    weights: Sequence[Fraction],
+    alpha: Fraction,
+    seed_active: list[int],
+):
+    """Maximize min_P I_P(f) s.t. H(f) <= alpha, 0 <= f <= 1.
+
+    Cutting-plane loop: solve with a working set of partition constraints,
+    then add the most violated partition until none is violated.  Returns
+    (value, f, slope) where slope is a subgradient of the value in alpha,
+    taken from the budget-row dual.
+    """
+    m = len(weights)
+    active = list(seed_active)
+    for _ in range(len(coeffs) + 2):
+        rows = []
+        rhs = []
+        for p in active:
+            rows.append([Fraction(1)] + [-cf for cf in coeffs[p]])
+            rhs.append(Fraction(0))
+        budget_row = len(rows)
+        rows.append([Fraction(0)] + [Fraction(w) for w in weights])
+        rhs.append(alpha)
+        for e in range(m):
+            box = [Fraction(0)] * (m + 1)
+            box[1 + e] = Fraction(1)
+            rows.append(box)
+            rhs.append(Fraction(1))
+        c = [Fraction(-1)] + [Fraction(0)] * m
+        sol = simplex_min(c, rows, rhs)
+        t_star = sol.x[0]
+        f_star = sol.x[1:]
+        worst_p = -1
+        worst = None
+        for p, row in enumerate(coeffs):
+            val = _dot(row, f_star)
+            if worst is None or val < worst:
+                worst = val
+                worst_p = p
+        if worst is not None and worst < t_star:
+            active.append(worst_p)
+            continue
+        slope = -sol.duals[budget_row]
+        return t_star, tuple(f_star), slope
+    raise InternalCheckError("cutting-plane loop failed to converge")

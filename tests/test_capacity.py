@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from skalc import capacity
 from skalc.capacity import (
     EDGE_CAP,
     LB_USER_CAP,
+    _best_restriction,
     _partition_coefficients,
     alpha_s_lower_bound,
     duality_upper_bound,
@@ -139,16 +142,42 @@ def test_partition_coefficients_follow_rgs_order():
     rng = random.Random(11)
     for n in range(2, 7):
         src = parse_source(_sources.random_hypergraph(rng, n_users=n))
-        rows, nblocks = [], []
-        for labels in _oracle.iter_rgs(n):
-            masks = _oracle.labels_to_masks(labels)
-            if len(masks) < 2:
-                continue
-            rows.append(tuple(
-                w * (sum(1 for bm in masks if bm & emask) - 1) / (len(masks) - 1)
-                for emask, w in zip(src.edge_masks(), src.weights)))
-            nblocks.append(len(masks))
-        assert _partition_coefficients(src) == (rows, nblocks)
+        rows, scale = _partition_coefficients(src)
+        assert all(type(v) is int for row in rows for v in row)
+        unscaled = [tuple(F(v, scale) for v in row) for row in rows]
+        assert unscaled == _oracle.partition_coefficients(src)
+
+
+def test_separation_adds_the_fraction_oracles_cuts(monkeypatch):
+    """Same value, retention, slope and LP count as the Fraction loop."""
+    solves = Counter()
+
+    def counted(tag, fn):
+        def wrapped(*args):
+            solves[tag] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(capacity, "simplex_min", counted("int", capacity.simplex_min))
+    monkeypatch.setattr(_oracle, "simplex_min", counted("fraction", _oracle.simplex_min))
+    rng = random.Random(5)
+    sources = [parse_source(d) for d in (_sources.EXAMPLE1, _sources.STAR, _sources.TRIANGLE)]
+    sources += [parse_source(_sources.random_hypergraph(rng, n_users=rng.randint(3, 5)))
+                for _ in range(4)]
+    sources += [parse_source(_sources.random_connected_pin(rng, n_users=6)) for _ in range(4)]
+    for src in sources:
+        rows, scale = _partition_coefficients(src)
+        sums = [sum(row) for row in rows]
+        seed = [sums.index(min(sums))]
+        total = src.total_entropy()
+        for k in range(9):
+            alpha = total * k / 8
+            got = _best_restriction(rows, scale, src.weights, alpha, seed)
+            want = _oracle.best_restriction(_oracle.partition_coefficients(src), src.weights,
+                                            alpha, seed)
+            assert got == want
+            assert solves["int"] == solves["fraction"]
+    assert solves["int"] > len(sources) * 9
 
 
 def test_lower_bound_caps():

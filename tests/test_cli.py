@@ -193,3 +193,18 @@ def test_module_entry_point(write_source):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["mmi"] == "3/2"
+
+
+def test_numpy_loaded_only_for_two_user(write_source):
+    path = write_source(_sources.TRIANGLE)
+    script = (
+        "import sys, skalc.cli\n"
+        "assert skalc.cli.main(['mmi', sys.argv[1]]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "import skalc\n"
+        "assert callable(skalc.run_sweep)\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, path], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["mmi"] == "3/2"
