@@ -16,7 +16,7 @@ from .capacity import (
 )
 from .curves import CapacityCurve, constant_curve, upper_concave_envelope
 from .errors import InternalCheckError, ResourceCapError, SkalcError, ValidationError
-from .mmi import MmiResult, mmi
+from .mmi import MmiResult, mmi, pin_strength
 from .omniscience import RateVector, RcoResult, rco, unconstrained_capacity
 from .protocol_sim import (
     BitSourceInstance,
@@ -106,6 +106,7 @@ __all__ = [
     "one_way_complexity",
     "parse_source",
     "pin_curves",
+    "pin_strength",
     "random_binning_omniscience",
     "rco",
     "restrict",

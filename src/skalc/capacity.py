@@ -374,7 +374,7 @@ class SandwichResult:
     rows: tuple[SandwichRow, ...]
     cap: Fraction
     gk: Fraction
-    inferred_alpha_s: Fraction | None
+    inferred_alpha_s: Fraction
 
 
 def sandwich(
@@ -391,15 +391,17 @@ def sandwich(
     """
     if not alphas:
         raise ValidationError("the budget grid must not be empty")
-    cap = mmi(source).value
     lb = lower_bound_curve(source)
+    # I_P(f) is nondecreasing in the retention f, so the curve saturates at
+    # mmi once the budget covers H(V).
+    cap = lb.curve.cap()
     jgk = gacs_korner(source)
     rows = []
     for alpha in alphas:
         alpha = Fraction(alpha)
         if alpha < 0:
             raise ValidationError("grid budgets must be nonnegative")
-        lower = max(lb.curve.value_at(alpha), min(alpha, jgk))
+        lower = max(lb.curve.value_at(alpha), gk_floor(source, alpha))
         upper = min(alpha, cap)
         if cs_upper is not None:
             upper = min(upper, duality_upper_bound(cs_upper, cap, alpha))
@@ -408,5 +410,4 @@ def sandwich(
         if gap < (0 if exact else -1e-9):
             raise InternalCheckError(f"bounds crossed at alpha={alpha}: {lower} > {upper}")
         rows.append(SandwichRow(alpha, lower, upper, gap <= (0 if exact else 1e-9)))
-    inferred = lb.curve.saturation_x() if lb.curve.cap() == cap else None
-    return SandwichResult(tuple(rows), cap, jgk, inferred)
+    return SandwichResult(tuple(rows), cap, jgk, lb.curve.saturation_x())

@@ -1,8 +1,8 @@
 """Tiny GF(2) linear algebra on rows stored as int bitmasks.
 
 Bit k of a row is the coefficient of variable k.  Everything the protocol
-simulator needs reduces to rank and span queries, so a row-reduced basis
-keyed by pivot position is all we keep.
+simulator needs reduces to rank and span queries, so a basis in echelon
+form, each row stored under its top bit, is all we keep.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ __all__ = ["Gf2Basis", "rank", "complement_units"]
 
 
 class Gf2Basis:
-    """Mutable basis; rows kept reduced against each other (pivot per row)."""
+    """Mutable basis in echelon form: each row is keyed by its top bit (its
+    pivot), and no two rows share one.  Rows are not reduced against each
+    other; a downward sweep over pivots still reduces any vector."""
 
     __slots__ = ("_rows",)
 
@@ -37,12 +39,7 @@ class Gf2Basis:
         v = self.reduce(v)
         if not v:
             return False
-        p = v.bit_length() - 1
-        # back-eliminate so reduce() stays a single downward sweep
-        for q, r in self._rows.items():
-            if r >> p & 1:
-                self._rows[q] = r ^ v
-        self._rows[p] = v
+        self._rows[v.bit_length() - 1] = v
         return True
 
     def contains(self, v: int) -> bool:
@@ -51,6 +48,11 @@ class Gf2Basis:
     @property
     def rank(self) -> int:
         return len(self._rows)
+
+    @property
+    def rows(self) -> Iterable[int]:
+        """The stored rows, which span the same space as every row added."""
+        return self._rows.values()
 
     def copy(self) -> "Gf2Basis":
         b = Gf2Basis()
@@ -63,10 +65,11 @@ def rank(rows: Iterable[int]) -> int:
 
 
 def complement_units(basis: Gf2Basis, width: int) -> list[int]:
-    """Unit vectors that extend the basis to the full space, low bit first."""
-    b = basis.copy()
-    out = []
-    for k in range(width):
-        if b.add(1 << k):
-            out.append(1 << k)
-    return out
+    """Unit vectors that extend the basis to the full space, low bit first.
+
+    Adding units low bit first, unit k is independent of the basis and the
+    units before it exactly when k is not a pivot, so these are the units
+    at the non-pivot positions.
+    """
+    pivots = basis._rows
+    return [1 << k for k in range(width) if k not in pivots]

@@ -14,17 +14,27 @@ one entry per nonempty user set; for hypergraphical sources the table is put
 over its common denominator, so each score is a pair of Python ints compared
 by cross-multiplication.  The enumeration is still Bell-number sized, so the
 user count is capped (default 8, hard maximum 12).
+
+``pin_strength`` serves pairwise sources, where every edge joins two users
+and mmi is the graph strength min_P c(dP) / (|P| - 1): the weight of the
+edges crossing P over the block count less one.  It runs in polynomial time
+with no user cap: Newton (Dinkelbach) steps on the ratio, each an attack
+problem solved as a Dilworth truncation with one integer min-cut per user
+(Cunningham 1985, "Optimal attack and reinforcement of a network").  By
+Nash-Williams and Tutte, the n-fold graph packs floor(n * strength)
+edge-disjoint spanning trees.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import InternalCheckError, ResourceCapError, ValidationError
-from .source_model import HypergraphicalSource, JointPMF, SourceSpec, entropy
+from .source_model import HypergraphicalSource, JointPMF, SourceSpec, entropy, is_pin
 
 __all__ = [
     "Partition",
@@ -32,6 +42,7 @@ __all__ = [
     "iter_partitions",
     "partition_info",
     "mmi",
+    "pin_strength",
     "DEFAULT_USER_CAP",
     "HARD_USER_CAP",
 ]
@@ -205,3 +216,115 @@ def _minimize_float(h: list, n: int) -> tuple[float, list[tuple[int, ...]]]:
             found.append((value, blocks))
     assert best is not None
     return best, [blocks for _, blocks in found]
+
+
+def pin_strength(source: HypergraphicalSource) -> Fraction:
+    """Graph strength min_P c(dP) / (|P| - 1) of a pairwise source.
+
+    Equals ``mmi(source).value`` for a pairwise source, and is 0 exactly when
+    the graph is disconnected.  Newton steps on lambda = p / q start from the
+    all-singletons ratio c(E) / (n - 1).  Each step finds a partition that
+    minimizes c(dP) - lambda * (|P| - 1); if that beats lambda, its ratio is
+    the next lambda.  Weights are scaled to ints over their common
+    denominator, so every step is exact integer arithmetic.
+    """
+    if not isinstance(source, HypergraphicalSource) or not is_pin(source):
+        raise ValidationError("pin_strength needs a source with all edges on exactly two users")
+    n = len(source.users)
+    denom = math.lcm(*(w.denominator for w in source.weights))
+    adj = [[0] * n for _ in range(n)]
+    for inc, w in zip(source.incidence, source.weights):
+        u, v = inc
+        c = w.numerator * (denom // w.denominator)
+        adj[u][v] += c
+        adj[v][u] += c
+    p, q = sum(map(sum, adj)) // 2, n - 1
+    while p:
+        blocks = _attack(adj, p, q)
+        if len(blocks) < 2:
+            break
+        p2, q2 = _crossing_weight(adj, blocks), len(blocks) - 1
+        if p2 * q >= p * q2:
+            break
+        p, q = p2, q2
+    return Fraction(p, q * denom)
+
+
+def _crossing_weight(adj: list[list[int]], blocks: list[list[int]]) -> int:
+    label = [0] * len(adj)
+    for j, block in enumerate(blocks):
+        for u in block:
+            label[u] = j
+    return sum(c for u, row in enumerate(adj) for v, c in enumerate(row[:u]) if label[u] != label[v])
+
+
+def _attack(adj: list[list[int]], p: int, q: int) -> list[list[int]]:
+    """A partition minimizing q * c(dP) - p * (|P| - 1).
+
+    That is half the sum over blocks of f(B) = q * c(dB) - 2p, plus p, so
+    this is the Dilworth truncation of the submodular f.  Users join in index
+    order.  User v merges with the set X of current blocks that minimizes
+    f({v} + X) - sum of f(B) over X, which is q * c(d({v} + X)) plus, for
+    each B in X, the modular term 2p - q * c(dB): one s-t min-cut with source
+    v, a node per block, and the users not yet placed merged into the sink.
+    """
+    n = len(adj)
+    blocks: list[list[int]] = []
+    for v in range(n):
+        k = len(blocks)
+        sink = k + 1
+        # per block, the weight to each user
+        bw = [[sum(col) for col in zip(*(adj[u] for u in block))] for block in blocks]
+        cap = [[0] * (k + 2) for _ in range(k + 2)]
+        for j, (block, row) in enumerate(zip(blocks, bw), start=1):
+            cap[0][j] = q * row[v]
+            for i, other in enumerate(blocks, start=1):
+                if i != j:
+                    cap[j][i] = q * sum(row[u] for u in other)
+            cap[j][sink] = q * sum(row[v + 1:])
+            modular = 2 * p - q * (sum(row) - sum(row[u] for u in block))
+            if modular > 0:
+                cap[j][sink] += modular
+            else:
+                cap[0][j] -= modular
+        side = _source_side(cap)
+        merged = [v]
+        rest = []
+        for j, block in enumerate(blocks, start=1):
+            if side[j]:
+                merged.extend(block)
+            else:
+                rest.append(block)
+        blocks = rest + [merged]
+    return blocks
+
+
+def _source_side(cap: list[list[int]]) -> list[bool]:
+    """Nodes on the source side of the minimum cut from node 0 to the last
+    node that is smallest by inclusion (Edmonds-Karp on a dense matrix)."""
+    size = len(cap)
+    sink = size - 1
+    while True:
+        parent = [-1] * size
+        parent[0] = 0
+        queue = deque([0])
+        while queue and parent[sink] < 0:
+            x = queue.popleft()
+            for y, c in enumerate(cap[x]):
+                if c > 0 and parent[y] < 0:
+                    parent[y] = x
+                    queue.append(y)
+        if parent[sink] < 0:
+            return [i >= 0 for i in parent]
+        push = None
+        y = sink
+        while y:
+            x = parent[y]
+            push = cap[x][y] if push is None else min(push, cap[x][y])
+            y = x
+        y = sink
+        while y:
+            x = parent[y]
+            cap[x][y] -= push
+            cap[y][x] += push
+            y = x

@@ -26,7 +26,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResourceCapError, ValidationError
-from .gf2 import Gf2Basis, complement_units
+from .gf2 import Gf2Basis, complement_units, rank
+from .mmi import pin_strength
 from .omniscience import rco
 from .source_model import HypergraphicalSource, is_pin
 
@@ -153,15 +154,11 @@ def verify(instance: BitSourceInstance, scheme: LinearScheme) -> VerificationRep
 
     recoverable = {}
     for user in instance.source.users:
-        basis = a_basis.copy()
-        obs = instance.user_mask(user)
-        k = 0
-        while obs:
-            if obs & 1:
-                basis.add(1 << k)
-            obs >>= 1
-            k += 1
-        recoverable[user] = all(basis.contains(row) for row in scheme.key)
+        # Mask the observed bits off: the key is recoverable iff each key row,
+        # outside the user's own bits, lies in the transcript's span there.
+        hidden = ~instance.user_mask(user)
+        basis = Gf2Basis(row & hidden for row in a_basis.rows)
+        recoverable[user] = all(basis.contains(row & hidden) for row in scheme.key)
     return VerificationReport(
         recoverable=recoverable,
         perfectly_secret=perfectly_secret,
@@ -245,25 +242,6 @@ def _partition_into_forests(nv: int, elements: Sequence[tuple[int, int]], k: int
     return forests, owner
 
 
-def _max_spanning_tree_packing(nv: int, elements: Sequence[tuple[int, int]]):
-    """Largest k with k edge-disjoint spanning trees; returns their element
-    sets.  Retries the partition from scratch for each k and keeps the last
-    full packing."""
-    best: list[set[int]] = []
-    if nv < 2:
-        return best
-    k = 1
-    upper = len(elements) // (nv - 1)
-    while k <= upper:
-        forests, _ = _partition_into_forests(nv, elements, k)
-        if all(len(f) == nv - 1 for f in forests):
-            best = forests
-            k += 1
-        else:
-            break
-    return best
-
-
 def _tree_rows(instance: BitSourceInstance, elements, tree: set[int]):
     """Key bit and transcript rows for one spanning tree.
 
@@ -293,8 +271,6 @@ def _tree_rows(instance: BitSourceInstance, elements, tree: set[int]):
                 visited.add(w)
                 order.append((elem, v, w))
                 queue.append(w)
-    if len(visited) != nv:
-        raise InternalCheckError("packed forest is not spanning")
     first_edge: dict[int, int] = {}
     e1, r0, w0 = order[0]
     first_edge[r0] = e1
@@ -320,20 +296,16 @@ class TreePacking:
 
 def tree_packing_scheme(source: HypergraphicalSource, n: int) -> TreePacking:
     """Scheme with one key bit per spanning tree packed into the n-fold
-    multigraph of a pairwise source."""
+    multigraph of a pairwise source.
+
+    The n-fold graph has strength n * sigma, so it packs floor(n * sigma)
+    edge-disjoint spanning trees (Nash-Williams, Tutte); one matroid
+    partition run at that count finds them.
+    """
     if not is_pin(source):
         raise ValidationError("tree packing needs a source with all edges on two users")
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for inc in source.incidence:
-            if v in inc:
-                for w in inc:
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-    if len(seen) != len(source.users):
+    strength = pin_strength(source)
+    if strength == 0:
         raise ValidationError("graph is disconnected; no spanning tree exists")
     instance = BitSourceInstance(source, n)
     elements = []
@@ -343,7 +315,10 @@ def tree_packing_scheme(source: HypergraphicalSource, n: int) -> TreePacking:
             if bit != len(elements):
                 raise InternalCheckError("bit layout out of sync with element list")
             elements.append((u, v))
-    trees = _max_spanning_tree_packing(len(source.users), elements)
+    nv = len(source.users)
+    trees, _ = _partition_into_forests(nv, elements, math.floor(n * strength))
+    if any(len(tree) != nv - 1 for tree in trees):
+        raise InternalCheckError("packed forest is not spanning")
     key_rows = []
     transcript = []
     for tree in trees:
@@ -403,12 +378,8 @@ def random_binning_omniscience(source: HypergraphicalSource, n: int, seed: int) 
     a_basis = Gf2Basis(row for row, _ in transcript)
     achieved = True
     for user in source.users:
-        basis = a_basis.copy()
         obs = instance.user_mask(user)
-        for k in range(m):
-            if obs >> k & 1:
-                basis.add(1 << k)
-        if basis.rank != m:
+        if rank(row & ~obs for row in a_basis.rows) != m - obs.bit_count():
             achieved = False
             break
     key = tuple(complement_units(a_basis, m))

@@ -15,6 +15,15 @@ from the restricted growth strings.  ``best_restriction`` is the
 ``Fraction`` cutting-plane loop over those rows, kept unchanged with its
 ``_dot`` separation; the integer loop must add the same cuts.
 
+``Gf2Basis`` and ``complement_units`` are the back-eliminating GF(2) basis
+and its unit-by-unit complement that ``skalc.gf2`` replaced with an echelon
+basis, kept unchanged.  ``max_spanning_tree_packing`` is the packing loop
+that reran the matroid partition for k = 1, 2, ... until a run failed;
+``tree_packing_scheme`` now runs it once at floor(n * strength).
+``verify`` and ``omniscience_reached`` are the unit-vector recoverability
+checks that copied the transcript basis and inserted one unit per observed
+bit, where ``skalc.protocol_sim`` now masks the observed bits off.
+
 ``BruteForceReference`` is the quantized reference for the two-user one-way
 curves.
 
@@ -35,7 +44,7 @@ one bucket of a kept one, so the envelope is exact to ~2.5e-4.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +60,7 @@ from skalc.mmi import (
     _canonical_partition,
     _refines,
 )
+from skalc.protocol_sim import VerificationReport, _partition_into_forests, validate_scheme
 from skalc.source_model import HypergraphicalSource, SourceSpec
 
 _BUCKETS_PER_UNIT = 4096
@@ -439,3 +449,128 @@ def best_restriction(
         slope = -sol.duals[budget_row]
         return t_star, tuple(f_star), slope
     raise InternalCheckError("cutting-plane loop failed to converge")
+
+
+class Gf2Basis:
+    """Mutable basis; rows kept reduced against each other (pivot per row)."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Iterable[int] = ()):  # rows: int bitmasks
+        self._rows: dict[int, int] = {}
+        for r in rows:
+            self.add(r)
+
+    def reduce(self, v: int) -> int:
+        rows = self._rows
+        while v:
+            p = v.bit_length() - 1
+            r = rows.get(p)
+            if r is None:
+                return v
+            v ^= r
+        return 0
+
+    def add(self, v: int) -> bool:
+        """Insert v; False if it was already in the span."""
+        v = self.reduce(v)
+        if not v:
+            return False
+        p = v.bit_length() - 1
+        # back-eliminate so reduce() stays a single downward sweep
+        for q, r in self._rows.items():
+            if r >> p & 1:
+                self._rows[q] = r ^ v
+        self._rows[p] = v
+        return True
+
+    def contains(self, v: int) -> bool:
+        return self.reduce(v) == 0
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def copy(self) -> "Gf2Basis":
+        b = Gf2Basis()
+        b._rows = dict(self._rows)
+        return b
+
+
+def complement_units(basis: Gf2Basis, width: int) -> list[int]:
+    """Unit vectors that extend the basis to the full space, low bit first."""
+    b = basis.copy()
+    out = []
+    for k in range(width):
+        if b.add(1 << k):
+            out.append(1 << k)
+    return out
+
+
+def max_spanning_tree_packing(nv: int, elements: Sequence[tuple[int, int]]):
+    """Largest k with k edge-disjoint spanning trees; returns their element
+    sets.  Retries the partition from scratch for each k and keeps the last
+    full packing."""
+    best: list[set[int]] = []
+    if nv < 2:
+        return best
+    k = 1
+    upper = len(elements) // (nv - 1)
+    while k <= upper:
+        forests, _ = _partition_into_forests(nv, elements, k)
+        if all(len(f) == nv - 1 for f in forests):
+            best = forests
+            k += 1
+        else:
+            break
+    return best
+
+
+def verify(instance, scheme) -> VerificationReport:
+    """Exact checks: per-user key recovery, key uniformity, transcript/key
+    independence."""
+    validate_scheme(instance, scheme)
+    a_rows = [row for row, _ in scheme.transcript]
+    a_basis = Gf2Basis(a_rows)
+    b_basis = Gf2Basis(scheme.key)
+    key_uniform = b_basis.rank == len(scheme.key)
+    joint = a_basis.copy()
+    added = sum(1 for row in scheme.key if joint.add(row))
+    perfectly_secret = added == b_basis.rank
+
+    recoverable = {}
+    for user in instance.source.users:
+        basis = a_basis.copy()
+        obs = instance.user_mask(user)
+        k = 0
+        while obs:
+            if obs & 1:
+                basis.add(1 << k)
+            obs >>= 1
+            k += 1
+        recoverable[user] = all(basis.contains(row) for row in scheme.key)
+    return VerificationReport(
+        recoverable=recoverable,
+        perfectly_secret=perfectly_secret,
+        key_uniform=key_uniform,
+        key_bits=len(scheme.key),
+        transcript_bits=len(scheme.transcript),
+    )
+
+
+def omniscience_reached(instance, transcript) -> bool:
+    """Whether every user, from own bits and the transcript rows, spans the
+    whole source space (the binning ``achieved`` flag)."""
+    m = instance.total_bits
+    a_basis = Gf2Basis(row for row, _ in transcript)
+    achieved = True
+    for user in instance.source.users:
+        basis = a_basis.copy()
+        obs = instance.user_mask(user)
+        for k in range(m):
+            if obs >> k & 1:
+                basis.add(1 << k)
+        if basis.rank != m:
+            achieved = False
+            break
+    return achieved

@@ -2,6 +2,16 @@ import json
 
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # property tests skip themselves without hypothesis
+    pass
+else:
+    # One seeded profile for every property test; no deadline, since timings
+    # on a small shared machine drift too much for one to mean anything.
+    settings.register_profile("skalc", derandomize=True, deadline=None)
+    settings.load_profile("skalc")
+
 from skalc.source_model import parse_source
 
 import _sources

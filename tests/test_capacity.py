@@ -243,6 +243,22 @@ def test_sandwich_example1_plain(example1):
     assert by_alpha[F(3)].tight
 
 
+def test_sandwich_cap_is_bell_mmi():
+    # sandwich reads its cap and saturation budget off the lower-bound curve.
+    rng = random.Random(31)
+    sources = [parse_source(getattr(_sources, name))
+               for name in ("EXAMPLE1", "TRIANGLE", "STAR", "PATH3", "OMNI")]
+    sources += [parse_source(_sources.random_hypergraph(rng, n_users=rng.randint(2, 6),
+                                                        n_edges=rng.randint(1, 8)))
+                for _ in range(12)]
+    sources += [parse_source(_sources.random_connected_pin(rng, n_users=rng.randint(3, 6)))
+                for _ in range(12)]
+    for src in sources:
+        res = sandwich(src, [F(0), F(1)])
+        assert res.cap == mmi(src).value
+        assert res.inferred_alpha_s == lower_bound_curve(src).curve.saturation_x()
+
+
 def test_sandwich_crossed_bounds_detected(example1):
     with pytest.raises(InternalCheckError):
         sandwich(example1, [F(1)], cs_upper=constant_curve(F(0)))

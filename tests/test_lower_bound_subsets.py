@@ -40,7 +40,7 @@ def test_example1_subset_attains_breakpoint():
     assert set(curve.points) <= on_curve
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), m=st.integers(1, 10))
 def test_random_subsets_below_envelope(seed, n, m):
     rng = random.Random(seed)

@@ -11,11 +11,15 @@ from skalc.mmi import (
     iter_partitions,
     mmi,
     partition_info,
+    pin_strength,
 )
-from skalc.source_model import entropy, parse_source, restrict
+from skalc.source_model import HypergraphicalSource, entropy, parse_source, restrict
 
 import _oracle
 import _sources
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
 def _blocks(partition):
@@ -147,3 +151,42 @@ def test_mmi_matches_two_pass_oracle_on_pmfs():
                         "table": [[*row[:-1], row[-1] / mass] for row in table]})
     for data in sources:
         _assert_matches_oracle(parse_source(data))
+
+
+@st.composite
+def pairwise_sources(draw):
+    """Pairwise sources on 2-8 users with rational weights and parallel
+    edges.  With ``split`` set, no edge crosses between the first half of the
+    users and the rest, so the graph is disconnected; isolated users may
+    occur either way."""
+    n = draw(st.integers(2, 8))
+    cut = n // 2 if draw(st.booleans()) else 0
+    weight = st.builds(F, st.integers(1, 6), st.sampled_from([1, 2, 3, 4]))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight),
+                          max_size=14))
+    edges = [(u, v, w) for u, v, w in edges if u != v and (u < cut) == (v < cut)]
+    parallel = [edges[0]] if edges and draw(st.booleans()) else []
+    edges += parallel
+    return HypergraphicalSource(
+        tuple(str(i) for i in range(n)),
+        tuple(f"e{k}" for k in range(len(edges))),
+        tuple(frozenset((u, v)) for u, v, _ in edges),
+        tuple(w for _, _, w in edges),
+    )
+
+
+@settings(max_examples=200)
+@given(src=pairwise_sources())
+def test_pin_strength_equals_bell_mmi(src):
+    assert pin_strength(src) == mmi(src).value
+
+
+def test_pin_strength_fixtures_and_rejects(triangle, star, path3, example1, intro_pmf):
+    assert pin_strength(triangle) == F(3, 2)
+    assert pin_strength(star) == F(1)
+    assert pin_strength(path3) == F(1)
+    split = parse_source(_sources.hg("1234", [("a", "12", 1), ("b", "34", F(1, 2))]))
+    assert pin_strength(split) == 0
+    for bad in (example1, intro_pmf):
+        with pytest.raises(ValidationError):
+            pin_strength(bad)

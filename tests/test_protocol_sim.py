@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
+from skalc import protocol_sim
 from skalc.errors import ValidationError
+from skalc.gf2 import Gf2Basis, complement_units
 from skalc.protocol_sim import (
     BitSourceInstance,
     LinearScheme,
@@ -17,7 +20,44 @@ from skalc.protocol_sim import (
 from skalc.source_model import parse_source
 
 import _exhaustive
+import _oracle
 import _sources
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+SMALL_FIXTURES = ("EXAMPLE1", "TRIANGLE", "STAR", "PATH3", "OMNI")
+
+
+def _random_pairwise(rng, n):
+    """Random pairwise source with integer weights 1-3, parallel edges
+    allowed; connected when the first n - 1 edges form a random tree."""
+    users = [str(i) for i in range(n)]
+    pairs = [(rng.randrange(i), i) for i in range(1, n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n))]
+    edges = [(f"e{k}", [users[i], users[j]], rng.randint(1, 3)) for k, (i, j) in enumerate(pairs)]
+    return parse_source(_sources.hg(users, edges))
+
+
+def _random_scheme(rng, inst, key_rows):
+    """Random transcript rows, each on its speaker's bits, and random key rows."""
+    m = inst.total_bits
+    transcript = []
+    for _ in range(rng.randint(0, m)):
+        speaker = rng.choice(inst.source.users)
+        transcript.append((rng.getrandbits(m) & inst.user_mask(speaker), speaker))
+    key = tuple(rng.randrange(1, 1 << m) for _ in range(key_rows))
+    return LinearScheme(m, tuple(transcript), key)
+
+
+def _oracle_trees(packed):
+    """The old k = 1, 2, ... packing loop on the scheme's element list."""
+    inst = packed.instance
+    elements = []
+    for e, inc in enumerate(inst.source.incidence):
+        elements.extend([tuple(sorted(inc))] * len(inst.edge_bits(e)))
+    trees = _oracle.max_spanning_tree_packing(len(inst.source.users), elements)
+    return tuple(tuple(sorted(t)) for t in trees)
 
 
 def test_instance_layout(triangle):
@@ -207,3 +247,64 @@ def test_scheme_json_round_trip(triangle):
     assert scheme_to_json(packed.scheme) == text
     with pytest.raises(ValidationError):
         scheme_from_json("{]")
+
+
+@pytest.mark.parametrize("name", ["TRIANGLE", "STAR", "PATH3", "OMNI"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tree_packing_matches_oracle_on_fixtures(name, n):
+    packed = tree_packing_scheme(parse_source(getattr(_sources, name)), n)
+    assert packed.trees == _oracle_trees(packed)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), blocklength=st.integers(1, 4))
+def test_tree_packing_matches_oracle_on_random_pairwise(seed, n, blocklength):
+    packed = tree_packing_scheme(_random_pairwise(random.Random(seed), n), blocklength)
+    assert packed.trees == _oracle_trees(packed)
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 40), count=st.integers(0, 50))
+def test_gf2_basis_matches_oracle(seed, width, count):
+    rng = random.Random(seed)
+    rows = [rng.getrandbits(width) for _ in range(count)]
+    fast, slow = Gf2Basis(), _oracle.Gf2Basis()
+    for row in rows:
+        assert fast.add(row) == slow.add(row)
+    assert fast.rank == slow.rank
+    assert complement_units(fast, width) == _oracle.complement_units(slow, width)
+    for _ in range(10):
+        v = rng.getrandbits(width)
+        assert fast.contains(v) == slow.contains(v)
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(SMALL_FIXTURES),
+       n=st.integers(1, 3), key_rows=st.integers(1, 4))
+def test_verify_matches_oracle_and_replay(seed, name, n, key_rows):
+    inst = BitSourceInstance(parse_source(getattr(_sources, name)), n)
+    scheme = _random_scheme(random.Random(seed), inst, key_rows)
+    report = verify(inst, scheme)
+    assert report == _oracle.verify(inst, scheme)
+    verdicts = _exhaustive.exhaustive_verdicts(inst, scheme)
+    assert verdicts == (report.recoverable, report.perfectly_secret, report.key_uniform)
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), blocklength=st.integers(1, 4),
+       scale=st.sampled_from([F(1), F(1, 2), F(1, 4)]))
+def test_binning_achieved_matches_oracle(seed, n, blocklength, scale):
+    # Scaling the optimal rates down makes omniscience fail on some draws.
+    rng = random.Random(seed)
+    src = parse_source(_sources.random_hypergraph(rng, n, rng.randint(1, 6), integer_weights=True))
+    real_rco = protocol_sim.rco
+
+    def scaled_rco(source):
+        rates = real_rco(source).witness.rates
+        return SimpleNamespace(witness=SimpleNamespace(rates={u: r * scale for u, r in rates.items()}))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol_sim, "rco", scaled_rco)
+        binned = random_binning_omniscience(src, blocklength, seed=rng.randrange(100))
+    assert binned.achieved == _oracle.omniscience_reached(binned.instance, binned.scheme.transcript)
+    assert verify(binned.instance, binned.scheme) == _oracle.verify(binned.instance, binned.scheme)
