@@ -18,6 +18,7 @@ given (input, seed) pair produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -251,9 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: building one leaves reference cycles (argparse
+    # formatters and their sections) that only a full garbage collection
+    # frees, so a parser per call grew a long-running caller's memory with
+    # its call count.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValidationError as exc:

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -125,6 +126,22 @@ def test_two_user_constrained_mode(capsys, write_source):
     assert code == 0
     for line in out.strip().splitlines()[1:]:
         assert abs(float(line.split(",")[1]) - 1.0) <= 1e-6
+
+
+def test_simulate_leaves_no_reference_cycles(capsys, write_source):
+    # Cyclic garbage waits for a full collection, so a long-running caller's
+    # memory would grow with its call count.
+    path = write_source(_sources.TRIANGLE)
+    run_cli(capsys, "simulate", path, "--scheme", "tree")
+    gc.collect()
+    gc.disable()
+    try:
+        for scheme in ("tree", "binning"):
+            code, _, _ = run_cli(capsys, "simulate", path, "--scheme", scheme, "-n", "2")
+            assert code == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_simulate_tree(capsys, write_source):
