@@ -211,13 +211,22 @@ def _reconstruct_curve(evaluate: Callable, a_lo: Fraction, a_hi: Fraction):
     def line(a0, v0, s0, a):
         return v0 + s0 * (a - a0)
 
-    def rec(a1, a2, depth):
+    ev(a_lo)
+    if a_hi <= a_lo:
+        return store
+    ev(a_hi)
+    # Depth-first, left part first.  A stack, not a recursive closure: the
+    # closure's reference to itself would keep the store alive until a full
+    # garbage collection.
+    stack = [(a_lo, a_hi, 0)]
+    while stack:
+        a1, a2, depth = stack.pop()
         if depth > 200:
             raise InternalCheckError("curve reconstruction recursion too deep")
         v1, _, s1 = ev(a1)
         v2, _, s2 = ev(a2)
         if line(a1, v1, s1, a2) == v2 or line(a2, v2, s2, a1) == v1:
-            return
+            continue
         if s1 == s2:
             raise InternalCheckError("parallel supporting lines with a gap")
         a_star = (v1 - v2 + s2 * a2 - s1 * a1) / (s2 - s1)
@@ -225,14 +234,9 @@ def _reconstruct_curve(evaluate: Callable, a_lo: Fraction, a_hi: Fraction):
             raise InternalCheckError("supporting-line intersection left the bracket")
         v_star, _, _ = ev(a_star)
         if v_star == line(a1, v1, s1, a_star):
-            return
-        rec(a1, a_star, depth + 1)
-        rec(a_star, a2, depth + 1)
-
-    ev(a_lo)
-    if a_hi > a_lo:
-        ev(a_hi)
-        rec(a_lo, a_hi, 0)
+            continue
+        stack.append((a_star, a2, depth + 1))
+        stack.append((a1, a_star, depth + 1))
     return store
 
 

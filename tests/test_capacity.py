@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -146,6 +147,24 @@ def test_partition_coefficients_follow_rgs_order():
         assert all(type(v) is int for row in rows for v in row)
         unscaled = [tuple(F(v, scale) for v in row) for row in rows]
         assert unscaled == _oracle.partition_coefficients(src)
+
+
+def test_curve_reconstruction_order_and_no_reference_cycles():
+    # min(a, (a + 1) / 2, 2): breakpoints at 1 and 3.  Probes go depth
+    # first, left part first; cyclic garbage would wait for a full
+    # collection and grow a long-running caller's memory.
+    def evaluate(a):
+        value, slope = min((a, F(1)), ((a + 1) / 2, F(1, 2)), (F(2), F(0)))
+        return value, None, slope
+
+    gc.collect()
+    gc.disable()
+    try:
+        store = capacity._reconstruct_curve(evaluate, F(0), F(5))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert list(store) == [F(0), F(5), F(2), F(1), F(3)]
 
 
 def test_separation_adds_the_fraction_oracles_cuts(monkeypatch):
