@@ -128,13 +128,11 @@ class LowerBoundResult:
 def _partition_coefficients(source: HypergraphicalSource) -> tuple[list[tuple[int, ...]], int]:
     """Per-partition linear forms I_P(f) = sum_e coeff[P][e] * f_e / scale.
 
-    The rows are ints over one scale D * lcm(1..n-1), with D the lcm of the
-    weight denominators, in ``iter_partitions`` order (single block skipped).
+    The rows are ints over one scale D * lcm(1..n-1), with D the source's
+    weight denominator, in ``iter_partitions`` order (single block skipped).
     """
     n = len(source.users)
     emasks = source.edge_masks()
-    denom = math.lcm(*(w.denominator for w in source.weights))
-    scaled = [w.numerator * (denom // w.denominator) for w in source.weights]
     blocks_lcm = math.lcm(*range(1, n))
     coeffs = []
     for block_masks in iter_partitions(n):
@@ -144,9 +142,9 @@ def _partition_coefficients(source: HypergraphicalSource) -> tuple[list[tuple[in
         per_block = blocks_lcm // (nb - 1)
         coeffs.append(tuple(
             w * (sum(1 for bm in block_masks if bm & emask) - 1) * per_block
-            for emask, w in zip(emasks, scaled)
+            for emask, w in zip(emasks, source.int_weights)
         ))
-    return coeffs, denom * blocks_lcm
+    return coeffs, source.denominator * blocks_lcm
 
 
 def _best_restriction(
@@ -244,7 +242,7 @@ def _restriction_from_fractions(source: HypergraphicalSource, f: Sequence[Fracti
     return EdgeRestriction({eid: Fraction(fe) for eid, fe in zip(source.edge_ids, f)})
 
 
-def lower_bound_curve(source: HypergraphicalSource, cap: int = LB_USER_CAP) -> LowerBoundResult:
+def lower_bound_curve(source: HypergraphicalSource) -> LowerBoundResult:
     """Best decremental key rate as a function of the entropy budget.
 
     Returns the exact concave piecewise-linear curve together with a witness

@@ -183,14 +183,17 @@ def _cmd_simulate(args) -> int:
     source = load_source(args.source)
     if args.scheme == "tree":
         built = protocol_sim.tree_packing_scheme(source, args.blocklength)
+        report = built.report
         extra = {"trees": len(built.trees)}
     else:
         built = protocol_sim.random_binning_omniscience(source, args.blocklength, args.seed)
+        # Verified here, once the builder has dropped its transcript basis;
+        # verifying inside the builder raises the peak memory of a job.
+        report = protocol_sim.verify(built.instance, built.scheme)
         extra = {
             "achieved": built.achieved,
             "rates": {u: format_number(r) for u, r in sorted(built.rates.items())},
         }
-    report = protocol_sim.verify(built.instance, built.scheme)
     data = {
         "mode": args.scheme,
         "n": args.blocklength,

@@ -9,11 +9,12 @@ partitions.  With two users this is the usual Shannon mutual information.
 The minimizers form a lattice whose bottom element, the finest optimal
 partition, refines every other minimizer; that structure is asserted here.
 
-``mmi`` scores every partition once.  Block entropies come from a table with
-one entry per nonempty user set; for hypergraphical sources the table is put
-over its common denominator, so each score is a pair of Python ints compared
-by cross-multiplication.  The enumeration is still Bell-number sized, so the
-user count is capped (default 8, hard maximum 12).
+``mmi`` scores every partition once.  Block entropies come from
+``source_model.entropy_table``, one entry per user set; for hypergraphical
+sources its entries are ints over the source's weight denominator, so each
+score is a pair of Python ints compared by cross-multiplication.  The
+enumeration is still Bell-number sized, so the user count is capped
+(default 8, hard maximum 12).
 
 ``pin_strength`` serves pairwise sources, where every edge joins two users
 and mmi is the graph strength min_P c(dP) / (|P| - 1): the weight of the
@@ -27,14 +28,13 @@ edge-disjoint spanning trees.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import InternalCheckError, ResourceCapError, ValidationError
-from .source_model import HypergraphicalSource, JointPMF, SourceSpec, entropy, is_pin
+from .source_model import HypergraphicalSource, SourceSpec, entropy, entropy_table, is_pin
 
 __all__ = [
     "Partition",
@@ -64,23 +64,23 @@ def iter_partitions(n: int) -> Iterator[tuple[int, ...]]:
     and partitions come in lexicographic order of those labels, starting with
     the single block.
     """
-    blocks: list[int] = []
-
-    def place(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(blocks)
-            return
-        bit = 1 << i
-        for j in range(len(blocks)):
-            blocks[j] |= bit
-            yield from place(i + 1)
-            blocks[j] ^= bit
-        blocks.append(bit)
-        yield from place(i + 1)
-        blocks.pop()
-
     if n >= 1:
-        yield from place(0)
+        yield from _place([], 0, n)
+
+
+def _place(blocks: list[int], i: int, n: int) -> Iterator[tuple[int, ...]]:
+    # Not a closure: one that calls itself is a reference cycle.
+    if i == n:
+        yield tuple(blocks)
+        return
+    bit = 1 << i
+    for j in range(len(blocks)):
+        blocks[j] |= bit
+        yield from _place(blocks, i + 1, n)
+        blocks[j] ^= bit
+    blocks.append(bit)
+    yield from _place(blocks, i + 1, n)
+    blocks.pop()
 
 
 def _canonical_partition(source: SourceSpec, masks: Sequence[int]) -> Partition:
@@ -113,19 +113,11 @@ def _partition_masks(source: SourceSpec, partition: Sequence[Sequence[str]]) -> 
     return masks
 
 
-def _block_entropy(source: SourceSpec, mask: int):
-    if isinstance(source, HypergraphicalSource):
-        return source.entropy_of_mask(mask)
-    users = [u for i, u in enumerate(source.users) if mask >> i & 1]
-    return entropy(source, users)
-
-
 def partition_info(source: SourceSpec, partition: Sequence[Sequence[str]]) -> Fraction | float:
     """The normalized total correlation I_P of one partition."""
     masks = _partition_masks(source, partition)
-    total = _block_entropy(source, (1 << len(source.users)) - 1)
-    acc = sum(_block_entropy(source, m) for m in masks)
-    return (acc - total) / (len(masks) - 1)
+    acc = sum(entropy(source, block) for block in partition)
+    return (acc - entropy(source, source.users)) / (len(masks) - 1)
 
 
 def _refines(fine: Partition, coarse: Partition) -> bool:
@@ -151,10 +143,9 @@ def mmi(source: SourceSpec, cap: int = DEFAULT_USER_CAP) -> MmiResult:
     n = len(source.users)
     if n > cap:
         raise ResourceCapError(f"{n} users exceed partition enumeration cap {cap}")
-    full = (1 << n) - 1
-    h = [None] + [_block_entropy(source, m) for m in range(1, full + 1)]
+    h = entropy_table(source)
     if isinstance(source, HypergraphicalSource):
-        value, minimizer_masks = _minimize_exact(h, n)
+        value, minimizer_masks = _minimize_exact(h, n, source.denominator)
     else:
         value, minimizer_masks = _minimize_float(h, n)
     minimizers = tuple(_canonical_partition(source, m) for m in minimizer_masks)
@@ -168,23 +159,20 @@ def mmi(source: SourceSpec, cap: int = DEFAULT_USER_CAP) -> MmiResult:
     return MmiResult(value, finest, minimizers)
 
 
-def _minimize_exact(h: list, n: int) -> tuple[Fraction, list[tuple[int, ...]]]:
+def _minimize_exact(h: list[int], n: int, denom: int) -> tuple[Fraction, list[tuple[int, ...]]]:
     """Minimum of I_P and its minimizers in enumeration order, in integers.
 
-    With every entropy scaled to an int over the common denominator, I_P is
-    the pair (sum of block entropies - H(V), blocks - 1), and pairs compare
-    by cross-multiplication.
+    With every entropy an int over ``denom``, I_P is the pair (sum of block
+    entropies - H(V), blocks - 1), and pairs compare by cross-multiplication.
     """
-    denom = math.lcm(*(x.denominator for x in h[1:]))
-    hi = [0] + [x.numerator * (denom // x.denominator) for x in h[1:]]
-    total = hi[-1]
+    total = h[-1]
     best_s, best_k = 0, 0
     found: list[tuple[int, ...]] = []
     for blocks in iter_partitions(n):
         k = len(blocks) - 1
         if not k:
             continue
-        s = sum(map(hi.__getitem__, blocks)) - total
+        s = sum(map(h.__getitem__, blocks)) - total
         if not best_k or s * best_k < best_s * k:
             best_s, best_k = s, k
             found = [blocks]
@@ -225,17 +213,14 @@ def pin_strength(source: HypergraphicalSource) -> Fraction:
     the graph is disconnected.  Newton steps on lambda = p / q start from the
     all-singletons ratio c(E) / (n - 1).  Each step finds a partition that
     minimizes c(dP) - lambda * (|P| - 1); if that beats lambda, its ratio is
-    the next lambda.  Weights are scaled to ints over their common
-    denominator, so every step is exact integer arithmetic.
+    the next lambda.  The source's integer weights over its denominator
+    make every step exact integer arithmetic.
     """
     if not isinstance(source, HypergraphicalSource) or not is_pin(source):
         raise ValidationError("pin_strength needs a source with all edges on exactly two users")
     n = len(source.users)
-    denom = math.lcm(*(w.denominator for w in source.weights))
     adj = [[0] * n for _ in range(n)]
-    for inc, w in zip(source.incidence, source.weights):
-        u, v = inc
-        c = w.numerator * (denom // w.denominator)
+    for (u, v), c in zip(source.incidence, source.int_weights):
         adj[u][v] += c
         adj[v][u] += c
     p, q = sum(map(sum, adj)) // 2, n - 1
@@ -247,7 +232,7 @@ def pin_strength(source: HypergraphicalSource) -> Fraction:
         if p2 * q >= p * q2:
             break
         p, q = p2, q2
-    return Fraction(p, q * denom)
+    return Fraction(p, q * source.denominator)
 
 
 def _crossing_weight(adj: list[list[int]], blocks: list[list[int]]) -> int:

@@ -23,7 +23,7 @@ from typing import Sequence
 from .mmi import DEFAULT_USER_CAP as _MMI_CAP, mmi as _mmi
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 from .lp import simplex_min
-from .source_model import HypergraphicalSource, JointPMF, SourceSpec, conditional_entropy, entropy
+from .source_model import HypergraphicalSource, SourceSpec, entropy, entropy_table
 
 __all__ = ["RateVector", "RcoResult", "rco", "unconstrained_capacity", "RCO_USER_CAP"]
 
@@ -49,10 +49,6 @@ class RcoResult:
     witness: RateVector
 
 
-def _subset_users(source: SourceSpec, mask: int) -> list[str]:
-    return [u for i, u in enumerate(source.users) if mask >> i & 1]
-
-
 def rco(source: SourceSpec) -> RcoResult:
     """Minimum total discussion rate for omniscience, with an optimal witness.
 
@@ -64,13 +60,14 @@ def rco(source: SourceSpec) -> RcoResult:
     if n > RCO_USER_CAP:
         raise ResourceCapError(f"{n} users exceed the omniscience cap {RCO_USER_CAP}")
     exact = isinstance(source, HypergraphicalSource)
-    masks = list(range(1, (1 << n) - 1))
+    full = (1 << n) - 1
+    masks = list(range(1, full))
     if not masks:
         raise ValidationError("omniscience needs at least two users")
-    h = []
-    for mask in masks:
-        value = conditional_entropy(source, _subset_users(source, mask))
-        h.append(value if exact else Fraction(value))
+    # H(Z_B | Z_{V \ B}) = H(V) - H(V \ B), from one table of all user sets.
+    table = entropy_table(source)
+    scale = source.denominator if exact else 1
+    h = [Fraction(table[full] - table[full ^ mask]) / scale for mask in masks]
 
     # Dual program: maximize h.y with, per user i, sum over subsets containing
     # i of y_B at most 1.  Feasible at y = 0, so a single simplex phase runs.

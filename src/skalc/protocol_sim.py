@@ -288,6 +288,7 @@ class TreePacking:
     instance: BitSourceInstance
     scheme: LinearScheme
     trees: tuple[tuple[int, ...], ...]
+    report: VerificationReport
 
     @property
     def key_bits(self) -> int:
@@ -300,7 +301,8 @@ def tree_packing_scheme(source: HypergraphicalSource, n: int) -> TreePacking:
 
     The n-fold graph has strength n * sigma, so it packs floor(n * sigma)
     edge-disjoint spanning trees (Nash-Williams, Tutte); one matroid
-    partition run at that count finds them.
+    partition run at that count finds them.  The scheme is verified once,
+    here; ``report`` holds the result.
     """
     if not is_pin(source):
         raise ValidationError("tree packing needs a source with all edges on two users")
@@ -329,7 +331,7 @@ def tree_packing_scheme(source: HypergraphicalSource, n: int) -> TreePacking:
     report = verify(instance, scheme)
     if not report.ok:
         raise InternalCheckError("tree-packing scheme failed its own verification")
-    return TreePacking(instance, scheme, tuple(tuple(sorted(t)) for t in trees))
+    return TreePacking(instance, scheme, tuple(tuple(sorted(t)) for t in trees), report)
 
 
 # ---------------------------------------------------------------- binning --

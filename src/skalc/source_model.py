@@ -9,7 +9,9 @@ Two kinds of finite sources are supported:
 * ``JointPMF``: an explicit finite joint distribution.  Entropies are floats
   in bits.
 
-Both parse from a small JSON schema, see ``parse_source``.
+This module is the one entropy oracle: ``entropy`` for one user set and
+``entropy_table`` for all of them at once.  Both kinds parse from a small
+JSON schema, see ``parse_source``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "parse_rational",
     "format_number",
     "entropy",
+    "entropy_table",
     "conditional_entropy",
     "is_pin",
     "gacs_korner",
@@ -74,7 +77,8 @@ class HypergraphicalSource:
     ``incidence[k]`` is the frozenset of user indices of edge k and
     ``weights[k]`` its entropy in bits (positive rational).  Isolated users
     are rejected at parse time but tolerated by this container so that edge
-    restrictions can drop a user's last edge.
+    restrictions can drop a user's last edge.  ``denominator`` is the lcm D
+    of the weight denominators and ``int_weights[k]`` is ``weights[k] * D``.
     """
 
     users: tuple[str, ...]
@@ -82,6 +86,8 @@ class HypergraphicalSource:
     incidence: tuple[frozenset[int], ...]
     weights: tuple[Fraction, ...]
     _edge_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
+    int_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.users)) != len(self.users):
@@ -100,6 +106,10 @@ class HypergraphicalSource:
                 raise ValidationError(f"edge {eid!r} needs positive weight, got {w}")
         masks = tuple(sum(1 << i for i in inc) for inc in self.incidence)
         object.__setattr__(self, "_edge_masks", masks)
+        denom = math.lcm(*(w.denominator for w in self.weights))
+        object.__setattr__(self, "denominator", denom)
+        object.__setattr__(self, "int_weights",
+                           tuple(w.numerator * (denom // w.denominator) for w in self.weights))
 
     @property
     def kind(self) -> str:
@@ -115,22 +125,13 @@ class HypergraphicalSource:
         """Incidence sets as bitmasks over user indices."""
         return self._edge_masks
 
-    def _mask_of(self, group: Iterable[str]) -> int:
-        mask = 0
-        for u in group:
-            mask |= 1 << self.user_index(u)
-        return mask
-
     def entropy_of_mask(self, mask: int) -> Fraction:
         """Total weight of edges touching the user set given as a bitmask."""
-        total = Fraction(0)
-        for emask, w in zip(self._edge_masks, self.weights):
-            if emask & mask:
-                total += w
-        return total
+        touching = sum(w for emask, w in zip(self._edge_masks, self.int_weights) if emask & mask)
+        return Fraction(touching, self.denominator)
 
     def total_entropy(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
+        return Fraction(sum(self.int_weights), self.denominator)
 
 
 @dataclass(frozen=True)
@@ -338,25 +339,38 @@ def entropy(source: SourceSpec, group: Iterable[str]) -> Fraction | float:
     if not group:
         return Fraction(0) if source.kind == "hypergraph" else 0.0
     if isinstance(source, HypergraphicalSource):
-        return source.entropy_of_mask(source._mask_of(group))
+        return source.entropy_of_mask(sum({1 << source.user_index(u) for u in group}))
     idxs = sorted({source.user_index(u) for u in group})
     return _entropy_of_counts(source.marginal(idxs).values())
 
 
-def conditional_entropy(source: SourceSpec, group: Iterable[str]) -> Fraction | float:
-    """H of the group's observations given everything observed outside it.
+def entropy_table(source: SourceSpec) -> list:
+    """h[mask], the joint entropy of every user set given as a bitmask.
 
-    For a hypergraphical source this is the weight of edges seen only inside
-    the group; in general it is H(V) minus H(complement).
+    Hypergraphs: ints over ``source.denominator``.  One subset-sum pass gives
+    inside[S], the weight of the edges within S; h[S] is all edges less those
+    within the complement of S.  Pmfs: floats, one ``entropy`` call per set.
     """
-    group = list(group)
+    n = len(source.users)
+    size = 1 << n
     if isinstance(source, HypergraphicalSource):
-        mask = source._mask_of(group)
-        total = Fraction(0)
-        for emask, w in zip(source._edge_masks, source.weights):
-            if emask & ~mask == 0:
-                total += w
-        return total
+        inside = [0] * size
+        for emask, w in zip(source._edge_masks, source.int_weights):
+            inside[emask] += w
+        for i in range(n):
+            bit = 1 << i
+            for mask in range(size):
+                if mask & bit:
+                    inside[mask] += inside[mask ^ bit]
+        total = inside[-1]
+        return [total - inside[(size - 1) ^ mask] for mask in range(size)]
+    users = source.users
+    return [entropy(source, [u for i, u in enumerate(users) if mask >> i & 1]) for mask in range(size)]
+
+
+def conditional_entropy(source: SourceSpec, group: Iterable[str]) -> Fraction | float:
+    """H of the group's observations given everything observed outside it,
+    H(V) - H(complement): for a hypergraph, the weight of edges inside it."""
     inside = {source.user_index(u) for u in group}
     rest = [u for i, u in enumerate(source.users) if i not in inside]
     return entropy(source, source.users) - entropy(source, rest)

@@ -2,7 +2,8 @@
 
 ``mmi_two_pass`` is the two-pass ``Fraction`` partition search that
 ``skalc.mmi.mmi`` replaced, kept unchanged together with its enumerator of
-restricted growth strings.
+restricted growth strings and ``_block_entropy``, its per-mask ``Fraction``
+entropy that ``source_model.entropy_table`` replaced.
 
 ``simplex_min`` is the ``Fraction`` tableau simplex that the integer
 ``skalc.lp.simplex_min`` replaced, kept unchanged; the integer version must
@@ -56,12 +57,11 @@ from skalc.mmi import (
     FLOAT_TIE_TOL,
     HARD_USER_CAP,
     MmiResult,
-    _block_entropy,
     _canonical_partition,
     _refines,
 )
 from skalc.protocol_sim import VerificationReport, _partition_into_forests, validate_scheme
-from skalc.source_model import HypergraphicalSource, SourceSpec
+from skalc.source_model import HypergraphicalSource, SourceSpec, entropy
 
 _BUCKETS_PER_UNIT = 4096
 _SUBSET_OP_BUDGET = 2_000_000
@@ -222,6 +222,13 @@ def labels_to_masks(labels: Sequence[int]) -> list[int]:
     for i, lab in enumerate(labels):
         masks[lab] |= 1 << i
     return masks
+
+
+def _block_entropy(source: SourceSpec, mask: int):
+    if isinstance(source, HypergraphicalSource):
+        return source.entropy_of_mask(mask)
+    users = [u for i, u in enumerate(source.users) if mask >> i & 1]
+    return entropy(source, users)
 
 
 def mmi_two_pass(source: SourceSpec, cap: int = DEFAULT_USER_CAP) -> MmiResult:

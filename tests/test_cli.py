@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import skalc.cli
+from skalc import protocol_sim
 from skalc.cli import main
 from skalc.errors import InternalCheckError
 from skalc.protocol_sim import scheme_from_json
@@ -128,20 +129,51 @@ def test_two_user_constrained_mode(capsys, write_source):
         assert abs(float(line.split(",")[1]) - 1.0) <= 1e-6
 
 
-def test_simulate_leaves_no_reference_cycles(capsys, write_source):
+# Per case: the fixture and the argv after the source path.
+CYCLE_CASES = {
+    "mmi": ("EXAMPLE1", ["mmi"]),
+    "mmi-pmf": ("INTRO_PMF", ["mmi"]),
+    "rco": ("EXAMPLE1", ["rco"]),
+    "capacity": ("TRIANGLE", ["capacity"]),
+    "sandwich": ("EXAMPLE1", ["sandwich", "--grid", "0:4:1/2"]),
+    "two-user": ("BIT_PMF", ["two-user", "--mode", "constrained", "--grid", "0:1:1/2"]),
+    "simulate-tree": ("TRIANGLE", ["simulate", "--scheme", "tree", "-n", "2"]),
+    "simulate-binning": ("TRIANGLE", ["simulate", "--scheme", "binning", "-n", "2"]),
+}
+
+
+@pytest.mark.parametrize("case", CYCLE_CASES)
+def test_subcommand_leaves_no_reference_cycles(capsys, write_source, case):
     # Cyclic garbage waits for a full collection, so a long-running caller's
-    # memory would grow with its call count.
-    path = write_source(_sources.TRIANGLE)
-    run_cli(capsys, "simulate", path, "--scheme", "tree")
+    # memory would grow with its call count.  The first run loads modules
+    # and fills caches.
+    fixture, (command, *options) = CYCLE_CASES[case]
+    argv = [command, write_source(getattr(_sources, fixture)), *options]
+    assert run_cli(capsys, *argv)[0] == 0
     gc.collect()
     gc.disable()
     try:
-        for scheme in ("tree", "binning"):
-            code, _, _ = run_cli(capsys, "simulate", path, "--scheme", scheme, "-n", "2")
-            assert code == 0
+        assert run_cli(capsys, *argv)[0] == 0
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("scheme", ["tree", "binning"])
+def test_simulate_verifies_the_scheme_once(capsys, write_source, monkeypatch, scheme):
+    calls = []
+    real = protocol_sim.verify
+
+    def counted(instance, linear_scheme):
+        calls.append(linear_scheme)
+        return real(instance, linear_scheme)
+
+    monkeypatch.setattr(protocol_sim, "verify", counted)
+    path = write_source(_sources.TRIANGLE)
+    code, out, _ = run_cli(capsys, "simulate", path, "--scheme", scheme, "-n", "2")
+    assert code == 0
+    assert json.loads(out)["secret"] is True
+    assert len(calls) == 1
 
 
 def test_simulate_tree(capsys, write_source):
