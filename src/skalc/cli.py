@@ -161,6 +161,8 @@ def _cmd_two_user(args) -> int:
             "mode": args.mode,
             "seed": args.seed,
             "mutual_info": format_number(sweep.mutual_info),
+            "runs": len(sweep.channels),
+            "converged_runs": sum(ch.converged for ch in sweep.channels),
             "points": [
                 {
                     "x": format_number(pt.x),

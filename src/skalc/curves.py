@@ -110,7 +110,10 @@ def upper_concave_envelope(points: Iterable[tuple]) -> CapacityCurve:
 
     The input must include a point at x = 0.  Points below the envelope and
     any flat or declining tail after the maximum are dropped; collinear
-    breakpoints are merged.
+    breakpoints are merged.  A point that some point at a smaller or equal x
+    matches or beats in y is dropped before the hull is built: it cannot be
+    a vertex of the non-decreasing curve, and with float tolerances a
+    near-duplicate of a vertex could otherwise displace it.
     """
     cleaned: dict = {}
     for x, y in points:
@@ -125,9 +128,13 @@ def upper_concave_envelope(points: Iterable[tuple]) -> CapacityCurve:
         raise ValidationError("envelope needs a point at x = 0")
     exact = all(_is_exact(x) and _is_exact(y) for x, y in pts)
     eps = 0 if exact else 1e-12
+    stairs = [pts[0]]
+    for p in pts[1:]:
+        if p[1] > stairs[-1][1]:
+            stairs.append(p)
 
     hull: list[tuple] = []
-    for p in pts:
+    for p in stairs:
         while len(hull) >= 2:
             (xa, ya), (xb, yb) = hull[-2], hull[-1]
             # pop the middle point unless the slope strictly decreases there

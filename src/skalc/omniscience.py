@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .mmi import DEFAULT_USER_CAP as _MMI_CAP, mmi as _mmi
 from .errors import InternalCheckError, ResourceCapError, ValidationError
@@ -35,12 +34,6 @@ class RateVector:
     """Nonnegative per-user discussion rates in bits."""
 
     rates: dict[str, Fraction | float]
-
-    def total(self):
-        return sum(self.rates.values())
-
-    def of_group(self, users: Sequence[str]):
-        return sum(self.rates[u] for u in users)
 
 
 @dataclass(frozen=True)

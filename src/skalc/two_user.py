@@ -178,13 +178,15 @@ def _channel_scores(q: np.ndarray, px: np.ndarray, py: np.ndarray, qt: np.ndarra
 def _ib_batch(px, pygx, h_row, py, q, beta_flat):
     """Run alternating maximization to a fixed point for each (init, beta).
 
-    Returns the final channels and per-run convergence flags; a run counts
-    as converged when its Lagrangian objective moved less than OBJ_TOL in
-    the last iteration.
+    Returns the final channels and per-run convergence flags.  A run is
+    frozen, and counts as converged, the first iteration its Lagrangian
+    objective moves less than OBJ_TOL; only the others keep iterating, up
+    to MAX_ITERS.
     """
-    beta = beta_flat[:, None, None]
+    out = np.empty_like(q)
+    converged = np.zeros(len(beta_flat), bool)
+    active = np.arange(len(beta_flat))
     prev_obj = np.full(len(beta_flat), np.inf)
-    obj_delta = np.full(len(beta_flat), np.inf)
     qt, qty = _marginals(q, px, pygx)
     for _ in range(MAX_ITERS):
         qt_safe = np.maximum(qt, 1e-300)
@@ -192,19 +194,25 @@ def _ib_batch(px, pygx, h_row, py, q, beta_flat):
         log_qygt = np.log(np.maximum(qygt, 1e-300))
         cross = np.einsum("xy,nty->nxt", pygx, log_qygt)
         kl = np.maximum(-h_row[None, :, None] - cross, 0.0)
-        logits = np.log(qt_safe)[:, None, :] - beta * kl
+        logits = np.log(qt_safe)[:, None, :] - beta_flat[:, None, None] * kl
         logits -= logits.max(axis=2, keepdims=True)
-        qn = np.exp(logits)
-        qn /= qn.sum(axis=2, keepdims=True)
-        q = qn
+        q = np.exp(logits)
+        q /= q.sum(axis=2, keepdims=True)
         qt, qty = _marginals(q, px, pygx)
         ix, iy = _channel_scores(q, px, py, qt, qty)
         obj = ix - beta_flat * iy
-        obj_delta = np.abs(obj - prev_obj)
+        done = np.abs(obj - prev_obj) < OBJ_TOL
+        if done.any():
+            out[active[done]] = q[done]
+            converged[active[done]] = True
+            live = ~done
+            active, q, qt, qty = active[live], q[live], qt[live], qty[live]
+            beta_flat, obj = beta_flat[live], obj[live]
+            if not active.size:
+                break
         prev_obj = obj
-        if obj_delta.max() < OBJ_TOL:
-            break
-    return q, obj_delta < OBJ_TOL
+    out[active] = q
+    return out, converged
 
 
 def _chord_multipliers(points, constrained: bool):
@@ -222,6 +230,22 @@ def _chord_multipliers(points, constrained: bool):
         s = dy / dx
         out.append(1.0 + 1.0 / s if constrained else 1.0 / s)
     return out
+
+
+def _envelope(xs: np.ndarray, ys: np.ndarray) -> CapacityCurve:
+    """``upper_concave_envelope`` of (0, 0) and the points (xs, ys).
+
+    The envelope drops every point that some point at a smaller or equal x
+    matches or beats in y; dropping them here first, with one lexsort (x
+    ascending, y descending) and a running max of y, leaves it only the
+    frontier to turn into Python tuples.
+    """
+    order = np.lexsort((-ys, xs))
+    xs, ys = xs[order], ys[order]
+    best_before = np.maximum.accumulate(np.concatenate(([0.0], ys[:-1])))
+    keep = ys > best_before
+    return upper_concave_envelope(
+        [(0.0, 0.0), *zip(xs[keep].tolist(), ys[keep].tolist())])
 
 
 def run_sweep(
@@ -275,9 +299,8 @@ def run_sweep(
 
     for _ in range(REFINE_ROUNDS):
         _, _, ix, iy = cloud()
-        comp_env = upper_concave_envelope([(0.0, 0.0)] + list(zip(ix, iy)))
-        cons_env = upper_concave_envelope(
-            [(0.0, 0.0)] + list(zip(np.maximum(ix - iy, 0.0), iy)))
+        comp_env = _envelope(ix, iy)
+        cons_env = _envelope(np.maximum(ix - iy, 0.0), iy)
         fresh = []
         for beta in (_chord_multipliers(comp_env.points, False)
                      + _chord_multipliers(cons_env.points, True)):
@@ -293,19 +316,14 @@ def run_sweep(
 
     all_q, all_conv, ix, iy = cloud()
     mi = mutual_information(p)
+    # One channel's rows at a time: converting the whole cloud in one
+    # tolist() call raised the process's peak memory by about 1 MB.
     channels = tuple(
-        ChannelWitness(
-            tuple(tuple(float(v) for v in row) for row in all_q[k]),
-            float(ix[k]),
-            float(iy[k]),
-            bool(all_conv[k]),
-        )
-        for k in range(all_q.shape[0])
+        ChannelWitness(tuple(map(tuple, q.tolist())), x, y, conv)
+        for q, x, y, conv in zip(all_q, ix.tolist(), iy.tolist(), all_conv.tolist())
     )
-    comp_pts = [(0.0, 0.0)] + [(c.info_x, c.info_y) for c in channels]
-    cons_pts = [(0.0, 0.0)] + [(max(c.info_x - c.info_y, 0.0), c.info_y) for c in channels]
-    compressed = upper_concave_envelope(comp_pts)
-    constrained = upper_concave_envelope(cons_pts)
+    compressed = _envelope(ix, iy)
+    constrained = _envelope(np.maximum(ix - iy, 0.0), iy)
     return SweepResult(channels, compressed, constrained, mi, seed)
 
 
@@ -317,13 +335,17 @@ class TwoUserCurvePoint:
     converged: bool
 
 
-def _pick_witness(sweep: SweepResult, budget_of, x: float) -> ChannelWitness | None:
-    best = None
-    for ch in sweep.channels:
-        if budget_of(ch) <= x + FEAS_SLACK:
-            if best is None or ch.info_y > best.info_y:
-                best = ch
-    return best
+def _pick_witnesses(sweep: SweepResult, xs: Sequence[float],
+                    constrained: bool) -> list[ChannelWitness | None]:
+    """Per budget x, the first channel of highest i_y whose budget
+    (i_x, or i_x - i_y floored at 0 when ``constrained``) is at most x."""
+    info = np.array([(ch.info_x, ch.info_y) for ch in sweep.channels])
+    ix, iy = info[:, 0], info[:, 1]
+    budget = np.maximum(ix - iy, 0.0) if constrained else ix
+    feasible = budget[None, :] <= np.array(xs)[:, None] + FEAS_SLACK
+    best = np.where(feasible, iy[None, :], -np.inf).argmax(axis=1)
+    return [sweep.channels[k] if ok else None
+            for k, ok in zip(best.tolist(), feasible.any(axis=1).tolist())]
 
 
 def compressed_curve_one_sided(
@@ -335,15 +357,13 @@ def compressed_curve_one_sided(
     """Best one-way key rate per summary-information budget."""
     if sweep is None:
         sweep = run_sweep(p, seed=seed)
-    out = []
-    for a in alphas:
-        a = float(a)
-        if a < 0:
-            raise ValidationError("budgets must be nonnegative")
-        w = _pick_witness(sweep, lambda ch: ch.info_x, a)
-        out.append(TwoUserCurvePoint(a, float(sweep.compressed.value_at(a)), w,
-                                     w.converged if w else True))
-    return tuple(out)
+    alphas = [float(a) for a in alphas]
+    if any(a < 0 for a in alphas):
+        raise ValidationError("budgets must be nonnegative")
+    return tuple(
+        TwoUserCurvePoint(a, float(sweep.compressed.value_at(a)), w,
+                          w.converged if w else True)
+        for a, w in zip(alphas, _pick_witnesses(sweep, alphas, False)))
 
 
 def constrained_curve_one_way(
@@ -355,15 +375,13 @@ def constrained_curve_one_way(
     """Best one-way key rate per public discussion rate."""
     if sweep is None:
         sweep = run_sweep(p, seed=seed)
-    out = []
-    for r in rates:
-        r = float(r)
-        if r < 0:
-            raise ValidationError("rates must be nonnegative")
-        w = _pick_witness(sweep, lambda ch: max(ch.info_x - ch.info_y, 0.0), r)
-        out.append(TwoUserCurvePoint(r, float(sweep.constrained.value_at(r)), w,
-                                     w.converged if w else True))
-    return tuple(out)
+    rates = [float(r) for r in rates]
+    if any(r < 0 for r in rates):
+        raise ValidationError("rates must be nonnegative")
+    return tuple(
+        TwoUserCurvePoint(r, float(sweep.constrained.value_at(r)), w,
+                          w.converged if w else True)
+        for r, w in zip(rates, _pick_witnesses(sweep, rates, True)))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,12 @@ that reran the matroid partition for k = 1, 2, ... until a run failed;
 checks that copied the transcript basis and inserted one unit per observed
 bit, where ``skalc.protocol_sim`` now masks the observed bits off.
 
+``ib_batch`` is the two-user alternating maximization that ran every run
+of a batch until the slowest one converged, kept unchanged; the frozen loop
+in ``skalc.two_user`` must reach curve values no lower than it does, less
+a small tolerance.  ``pick_witness`` is the per-channel witness loop that
+a masked argmax replaced; both must pick the same channel.
+
 ``BruteForceReference`` is the quantized reference for the two-user one-way
 curves.
 
@@ -62,6 +68,7 @@ from skalc.mmi import (
 )
 from skalc.protocol_sim import VerificationReport, _partition_into_forests, validate_scheme
 from skalc.source_model import HypergraphicalSource, SourceSpec, entropy
+from skalc.two_user import FEAS_SLACK, MAX_ITERS, OBJ_TOL, _channel_scores, _marginals
 
 _BUCKETS_PER_UNIT = 4096
 _SUBSET_OP_BUDGET = 2_000_000
@@ -146,6 +153,47 @@ def _concave_majorant(points):
                 break
         hull.append(p)
     return hull
+
+
+def ib_batch(px, pygx, h_row, py, q, beta_flat):
+    """Run alternating maximization to a fixed point for each (init, beta).
+
+    Returns the final channels and per-run convergence flags; a run counts
+    as converged when its Lagrangian objective moved less than OBJ_TOL in
+    the last iteration.
+    """
+    beta = beta_flat[:, None, None]
+    prev_obj = np.full(len(beta_flat), np.inf)
+    obj_delta = np.full(len(beta_flat), np.inf)
+    qt, qty = _marginals(q, px, pygx)
+    for _ in range(MAX_ITERS):
+        qt_safe = np.maximum(qt, 1e-300)
+        qygt = qty / qt_safe[:, :, None]
+        log_qygt = np.log(np.maximum(qygt, 1e-300))
+        cross = np.einsum("xy,nty->nxt", pygx, log_qygt)
+        kl = np.maximum(-h_row[None, :, None] - cross, 0.0)
+        logits = np.log(qt_safe)[:, None, :] - beta * kl
+        logits -= logits.max(axis=2, keepdims=True)
+        qn = np.exp(logits)
+        qn /= qn.sum(axis=2, keepdims=True)
+        q = qn
+        qt, qty = _marginals(q, px, pygx)
+        ix, iy = _channel_scores(q, px, py, qt, qty)
+        obj = ix - beta_flat * iy
+        obj_delta = np.abs(obj - prev_obj)
+        prev_obj = obj
+        if obj_delta.max() < OBJ_TOL:
+            break
+    return q, obj_delta < OBJ_TOL
+
+
+def pick_witness(sweep, budget_of, x: float):
+    best = None
+    for ch in sweep.channels:
+        if budget_of(ch) <= x + FEAS_SLACK:
+            if best is None or ch.info_y > best.info_y:
+                best = ch
+    return best
 
 
 class BruteForceReference:

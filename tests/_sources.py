@@ -61,6 +61,25 @@ INDEP_PMF = {"kind": "pmf", "users": ["1", "2"], "alphabets": [2, 2],
              "table": [[x, y, 0.25] for x in (0, 1) for y in (0, 1)]}
 
 
+def binary_channel_pmf(rng, channel):
+    """A uniform bit Z1 through a random binary-input channel to Z2.
+
+    ``symmetric`` flips the bit (2x2), ``erasure`` flips or erases it (2x3)
+    and ``z`` only ever turns a 1 into a 0, leaving a zero cell (2x2).
+    """
+    if channel == "symmetric":
+        p = rng.uniform(0.05, 0.3)
+        cols, rows = 2, [[0, 0, (1 - p) / 2], [0, 1, p / 2], [1, 0, p / 2], [1, 1, (1 - p) / 2]]
+    elif channel == "erasure":
+        p, e = rng.uniform(0.03, 0.1), rng.uniform(0.1, 0.3)
+        cols, rows = 3, [[x, y, m / 2] for x in (0, 1)
+                         for y, m in ((x, 1 - p - e), (1 - x, p), (2, e))]
+    else:
+        q, a = rng.uniform(0.1, 0.3), rng.uniform(0.4, 0.6)
+        cols, rows = 2, [[0, 0, a], [1, 0, (1 - a) * q], [1, 1, (1 - a) * (1 - q)]]
+    return {"kind": "pmf", "users": ["1", "2"], "alphabets": [2, cols], "table": rows}
+
+
 def random_hypergraph(rng, n_users=None, n_edges=None, integer_weights=False):
     """Random covered hypergraph; weights are small positive rationals."""
     n = n_users if n_users is not None else rng.randint(2, 6)

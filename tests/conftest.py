@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import pathlib
+import sys
 
 import pytest
 
@@ -58,3 +61,19 @@ def write_source(tmp_path):
         return str(path)
 
     return _write
+
+
+@pytest.fixture(scope="session")
+def benchmark_two_user_sweeps():
+    """``run_sweep`` on every job of the seed-1 ``two-user-sweep`` benchmark
+    pool, each at its job's seed."""
+    from skalc.two_user import run_sweep
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up here
+    spec.loader.exec_module(workloads)
+    jobs = workloads.make_jobs(workloads.WORKLOADS["two-user-sweep"], workloads.DEFAULT_SEED)
+    return [run_sweep(parse_source(job.source), seed=int(job.argv[job.argv.index("--seed") + 1]))
+            for job in jobs]

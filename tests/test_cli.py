@@ -10,7 +10,8 @@ from skalc import protocol_sim
 from skalc.cli import main
 from skalc.errors import InternalCheckError
 from skalc.protocol_sim import scheme_from_json
-from skalc.source_model import parse_rational
+from skalc.source_model import parse_rational, parse_source
+from skalc.two_user import run_sweep
 
 import _sources
 
@@ -113,6 +114,10 @@ def test_two_user_csv_and_witness(capsys, write_source, tmp_path):
     payload = json.loads(wit.read_text(encoding="utf-8"))
     assert payload["mode"] == "compressed"
     assert len(payload["points"]) == 3
+    sweep = run_sweep(parse_source(_sources.INTRO_PMF), seed=0)
+    assert payload["runs"] == len(sweep.channels)
+    assert payload["converged_runs"] == sum(ch.converged for ch in sweep.channels)
+    assert 0 < payload["converged_runs"] <= payload["runs"]
     first_bytes = wit.read_bytes()
     _, out2, _ = run_cli(capsys, "two-user", path, "--grid", "0:2:1",
                          "--emit-witness", str(wit))

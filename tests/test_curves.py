@@ -64,3 +64,10 @@ def test_envelope_float_points():
     assert not env.exact
     assert env.value_at(0.25) == pytest.approx(0.3)
     assert check_curve(env)
+
+
+def test_envelope_keeps_a_vertex_over_its_dominated_near_duplicate():
+    # The second point lies a hair right of and below the first; within the
+    # 1e-12 slope tolerance it would pop the true vertex.
+    env = upper_concave_envelope([(0.0, 0.0), (1.0, 1.0), (1.0 + 1e-13, 1.0 - 1e-13)])
+    assert env.points == ((0.0, 0.0), (1.0, 1.0))

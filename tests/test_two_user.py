@@ -4,9 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from skalc import two_user
 from skalc.errors import ResourceCapError, ValidationError
 from skalc.source_model import entropy, gacs_korner, parse_source
 from skalc.two_user import (
+    _pick_witnesses,
     compressed_curve_one_sided,
     constrained_curve_one_way,
     duality_check,
@@ -216,3 +218,106 @@ def test_solver_matches_quantized_reference():
     for pt in cons:
         assert pt.value >= ref.constrained.feas_value(pt.x) - 2e-3
         assert pt.value <= ref.constrained.env_value(pt.x) + 2e-3
+
+
+def _criterion_6_pmfs():
+    """The pmfs of acceptance criterion 6, drawn the same way."""
+    pmfs = [parse_source(_sources.INTRO_PMF), parse_source(_sources.BIT_PMF)]
+    rng = random.Random(4242)
+    for _ in range(3):
+        raw = [[rng.uniform(0.2, 1.0) for _ in range(3)] for _ in range(3)]
+        total = sum(sum(r) for r in raw)
+        pmfs.append(parse_source({"kind": "pmf", "users": ["1", "2"], "alphabets": [3, 3],
+                                  "table": [[x, y, raw[x][y] / total]
+                                            for x in range(3) for y in range(3)]}))
+    return pmfs
+
+
+def _channel_pmfs():
+    rng = random.Random(13)
+    return [parse_source(_sources.binary_channel_pmf(rng, channel))
+            for channel in ("symmetric", "erasure", "z") * 4]
+
+
+SWEEP_GRID = [k / 8 for k in range(17)]
+
+
+@pytest.fixture(scope="module")
+def frozen_and_oracle_sweeps():
+    """(pmf, seed, sweep, sweep with the run-to-the-slowest oracle loop)."""
+    out = []
+    for seed, p in enumerate(_criterion_6_pmfs() + _channel_pmfs()):
+        frozen = run_sweep(p, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(two_user, "_ib_batch", _oracle.ib_batch)
+            reference = run_sweep(p, seed=seed)
+        out.append((p, seed, frozen, reference))
+    return out
+
+
+def test_frozen_sweep_matches_oracle_loop(frozen_and_oracle_sweeps):
+    for p, _, frozen, reference in frozen_and_oracle_sweeps:
+        info = mutual_information(p)
+        for x in SWEEP_GRID:
+            for curve, ref, cap in ((frozen.compressed, reference.compressed, min(x, info)),
+                                    (frozen.constrained, reference.constrained, info)):
+                value = curve.value_at(x)
+                assert value >= ref.value_at(x) - 1e-4
+                assert value <= cap + 1e-9
+
+
+def test_sweep_channels_repeat_for_a_seed(frozen_and_oracle_sweeps):
+    for p, seed, frozen, _ in frozen_and_oracle_sweeps:
+        assert run_sweep(p, seed=seed).channels == frozen.channels
+
+
+def test_witness_pick_matches_loop(benchmark_two_user_sweeps):
+    budgets = {False: lambda ch: ch.info_x,
+               True: lambda ch: max(ch.info_x - ch.info_y, 0.0)}
+    for sweep in benchmark_two_user_sweeps:
+        for constrained, budget_of in budgets.items():
+            picked = _pick_witnesses(sweep, SWEEP_GRID, constrained)
+            for w, x in zip(picked, SWEEP_GRID):
+                assert w is _oracle.pick_witness(sweep, budget_of, x)
+
+
+def _h(p):
+    return 0.0 if p in (0.0, 1.0) else -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+def _h_inverse(v):
+    """The crossover in [0, 1/2] whose binary entropy is v."""
+    lo, hi = 0.0, 0.5
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _h(mid) < v else (lo, mid)
+    return lo
+
+
+def _dsbs(p):
+    return {"kind": "pmf", "users": ["1", "2"], "alphabets": [2, 2],
+            "table": [[0, 0, (1 - p) / 2], [0, 1, p / 2], [1, 0, p / 2], [1, 1, (1 - p) / 2]]}
+
+
+def _bec(eps):
+    return {"kind": "pmf", "users": ["1", "2"], "alphabets": [2, 3],
+            "table": [[x, y, m / 2] for x in (0, 1) for y, m in ((x, 1 - eps), (2, eps))]}
+
+
+def _mrs_gerber(p, alpha):
+    d = _h_inverse(1 - alpha)
+    return 1 - _h(p * (1 - d) + d * (1 - p))
+
+
+@pytest.mark.parametrize("source, closed_form", [
+    *[(_dsbs(p), lambda a, p=p: _mrs_gerber(p, a)) for p in (0.05, 0.1, 0.25)],
+    *[(_bec(eps), lambda a, eps=eps: (1 - eps) * a) for eps in (0.2, 0.5)],
+], ids=["dsbs-0.05", "dsbs-0.1", "dsbs-0.25", "bec-0.2", "bec-0.5"])
+def test_compressed_curve_closed_forms(source, closed_form):
+    # Doubly symmetric binary source: 1 - h(p * h^-1(1 - alpha)) by Mrs.
+    # Gerber's Lemma; binary erasure: (1 - eps) * alpha.
+    p = parse_source(source)
+    alphas = [k / 10 for k in range(1, 10)]
+    for pt in compressed_curve_one_sided(p, alphas, sweep=run_sweep(p)):
+        exact = closed_form(pt.x)
+        assert exact - 1e-3 <= pt.value <= exact + 1e-9
