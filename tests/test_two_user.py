@@ -222,15 +222,9 @@ def test_solver_matches_quantized_reference():
 
 def _criterion_6_pmfs():
     """The pmfs of acceptance criterion 6, drawn the same way."""
-    pmfs = [parse_source(_sources.INTRO_PMF), parse_source(_sources.BIT_PMF)]
     rng = random.Random(4242)
-    for _ in range(3):
-        raw = [[rng.uniform(0.2, 1.0) for _ in range(3)] for _ in range(3)]
-        total = sum(sum(r) for r in raw)
-        pmfs.append(parse_source({"kind": "pmf", "users": ["1", "2"], "alphabets": [3, 3],
-                                  "table": [[x, y, raw[x][y] / total]
-                                            for x in range(3) for y in range(3)]}))
-    return pmfs
+    return [parse_source(_sources.INTRO_PMF), parse_source(_sources.BIT_PMF),
+            *(_random_pmf(rng) for _ in range(3))]
 
 
 def _channel_pmfs():
