@@ -403,7 +403,7 @@ def sandwich(
         alpha = Fraction(alpha)
         if alpha < 0:
             raise ValidationError("grid budgets must be nonnegative")
-        lower = max(lb.curve.value_at(alpha), gk_floor(source, alpha))
+        lower = max(lb.curve.value_at(alpha), min(alpha, jgk))
         upper = min(alpha, cap)
         if cs_upper is not None:
             upper = min(upper, duality_upper_bound(cs_upper, cap, alpha))

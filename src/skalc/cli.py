@@ -149,9 +149,9 @@ def _cmd_two_user(args) -> int:
     grid = [float(g) for g in _parse_grid(args.grid)]
     sweep = two_user.run_sweep(source, seed=args.seed)
     if args.mode == "compressed":
-        points = two_user.compressed_curve_one_sided(source, grid, sweep=sweep)
+        points = two_user.compressed_curve_one_sided(sweep, grid)
     else:
-        points = two_user.constrained_curve_one_way(source, grid, sweep=sweep)
+        points = two_user.constrained_curve_one_way(sweep, grid)
     lines = ["x,value"]
     for pt in points:
         lines.append(f"{format_number(pt.x)},{format_number(pt.value)}")

@@ -13,6 +13,7 @@ point cloud, the curve traced by time-sharing between operating points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -44,7 +45,7 @@ class CapacityCurve:
     def value_at(self, x):
         """Evaluate the curve; constant beyond the last breakpoint."""
         pts = self.points
-        if x < 0:
+        if not x >= 0:
             raise ValidationError("curves are defined for x >= 0")
         if x >= pts[-1][0]:
             return pts[-1][1]
@@ -71,6 +72,8 @@ class CapacityCurve:
 def _validate_points(points: Sequence[tuple]) -> None:
     if not points:
         raise ValidationError("a curve needs at least one breakpoint")
+    if any(isinstance(v, float) and not math.isfinite(v) for pt in points for v in pt):
+        raise ValidationError("curve coordinates must be finite")
     exact = all(_is_exact(x) and _is_exact(y) for x, y in points)
     tol = 0 if exact else _FLOAT_TOL
     x0, y0 = points[0]
@@ -115,15 +118,13 @@ def upper_concave_envelope(points: Iterable[tuple]) -> CapacityCurve:
     a vertex of the non-decreasing curve, and with float tolerances a
     near-duplicate of a vertex could otherwise displace it.
     """
-    cleaned: dict = {}
-    for x, y in points:
-        if x < 0:
-            raise ValidationError("envelope points need x >= 0")
-        if x not in cleaned or y > cleaned[x]:
-            cleaned[x] = y
-    if not cleaned:
+    # x ascending, y descending: the staircase keeps the highest point of
+    # each x and drops the rest.
+    pts = sorted(points, key=lambda p: (p[0], -p[1]))
+    if not pts:
         raise ValidationError("no points to envelope")
-    pts = sorted(cleaned.items())
+    if pts[0][0] < 0:
+        raise ValidationError("envelope points need x >= 0")
     if pts[0][0] != 0:
         raise ValidationError("envelope needs a point at x = 0")
     exact = all(_is_exact(x) and _is_exact(y) for x, y in pts)

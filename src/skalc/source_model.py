@@ -9,8 +9,9 @@ Two kinds of finite sources are supported:
 * ``JointPMF``: an explicit finite joint distribution.  Entropies are floats
   in bits.
 
-This module is the one entropy oracle: ``entropy`` for one user set and
-``entropy_table`` for all of them at once.  Both kinds parse from a small
+This module is the one entropy oracle: ``entropy`` for one user set,
+``entropy_table`` for all of them at once and ``entropy_of_masses`` for a
+distribution given by its masses.  Both kinds parse from a small
 JSON schema, see ``parse_source``.
 """
 
@@ -34,6 +35,7 @@ __all__ = [
     "parse_rational",
     "format_number",
     "entropy",
+    "entropy_of_masses",
     "entropy_table",
     "conditional_entropy",
     "is_pin",
@@ -170,6 +172,8 @@ class JointPMF:
             if row in seen:
                 raise ValidationError(f"duplicate outcome row {row}")
             seen.add(row)
+            if not math.isfinite(p):
+                raise ValidationError(f"probability {p!r} is not finite")
             if p <= 0:
                 raise ValidationError("support probabilities must be positive")
         total = math.fsum(self.probs)
@@ -321,7 +325,8 @@ def load_source(path) -> SourceSpec:
     return parse_source(data)
 
 
-def _entropy_of_counts(masses: Iterable[float]) -> float:
+def entropy_of_masses(masses: Iterable[float]) -> float:
+    """Entropy in bits of a distribution given by its masses; zeros are skipped."""
     total = 0.0
     for p in masses:
         if p > 0:
@@ -341,7 +346,7 @@ def entropy(source: SourceSpec, group: Iterable[str]) -> Fraction | float:
     if isinstance(source, HypergraphicalSource):
         return source.entropy_of_mask(sum({1 << source.user_index(u) for u in group}))
     idxs = sorted({source.user_index(u) for u in group})
-    return _entropy_of_counts(source.marginal(idxs).values())
+    return entropy_of_masses(source.marginal(idxs).values())
 
 
 def entropy_table(source: SourceSpec) -> list:
@@ -414,7 +419,7 @@ def _gacs_korner_pmf(source: JointPMF) -> float:
     for k, p in enumerate(source.probs):
         r = find(k)
         mass[r] = mass.get(r, 0.0) + p
-    return _entropy_of_counts(mass.values())
+    return entropy_of_masses(mass.values())
 
 
 def gacs_korner(source: SourceSpec) -> Fraction | float:

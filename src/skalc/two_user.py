@@ -18,6 +18,7 @@ claims.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,7 +27,7 @@ import numpy as np
 
 from .curves import CapacityCurve, upper_concave_envelope
 from .errors import ResourceCapError, ValidationError
-from .source_model import JointPMF, gacs_korner
+from .source_model import JointPMF, entropy_of_masses, entropy_table, gacs_korner
 
 __all__ = [
     "ChannelWitness",
@@ -58,7 +59,7 @@ REFINE_ROUNDS = 3
 _LN2 = math.log(2.0)
 
 
-def pmf_matrix(p: JointPMF) -> np.ndarray:
+def _check_pair(p: JointPMF) -> None:
     if not isinstance(p, JointPMF):
         raise ValidationError("one-way analysis needs a pmf source")
     if len(p.users) != 2:
@@ -66,28 +67,21 @@ def pmf_matrix(p: JointPMF) -> np.ndarray:
     if max(p.alphabets) > ALPHABET_CAP:
         raise ResourceCapError(
             f"alphabet size {max(p.alphabets)} exceeds the cap {ALPHABET_CAP}")
+
+
+def pmf_matrix(p: JointPMF) -> np.ndarray:
+    _check_pair(p)
     mat = np.zeros((p.alphabets[0], p.alphabets[1]))
     for outcome, prob in zip(p.outcomes, p.probs):
         mat[outcome[0], outcome[1]] += float(prob)
     return mat
 
 
-def _entropy_bits(masses) -> float:
-    v = np.asarray([m for m in masses if m > 0], dtype=float)
-    return float(-(v * np.log(v)).sum() / _LN2) if v.size else 0.0
-
-
 def mutual_information(p: JointPMF) -> float:
-    mat = pmf_matrix(p)
-    px = mat.sum(axis=1)
-    py = mat.sum(axis=0)
-    total = 0.0
-    for i in range(mat.shape[0]):
-        for j in range(mat.shape[1]):
-            v = mat[i, j]
-            if v > 0:
-                total += v * math.log(v / (px[i] * py[j]))
-    return total / _LN2
+    """I(Z_1; Z_2) = H(Z_1) + H(Z_2) - H(Z_1, Z_2), from the entropy table."""
+    _check_pair(p)
+    h = entropy_table(p)
+    return h[1] + h[2] - h[3]
 
 
 def min_sufficient_statistic(p: JointPMF) -> tuple[float, tuple[int, ...]]:
@@ -99,7 +93,7 @@ def min_sufficient_statistic(p: JointPMF) -> tuple[float, tuple[int, ...]]:
     a class; zero-mass symbols get fresh labels and no mass.
     """
     mat = pmf_matrix(p)
-    px = mat.sum(axis=1)
+    px = mat.sum(axis=1).tolist()
     reps: list[np.ndarray] = []
     labels: list[int] = []
     for i in range(mat.shape[0]):
@@ -114,19 +108,12 @@ def min_sufficient_statistic(p: JointPMF) -> tuple[float, tuple[int, ...]]:
         else:
             labels.append(len(reps))
             reps.append(row)
-    nxt = len(reps)
-    final = []
-    for lab in labels:
-        if lab < 0:
-            final.append(nxt)
-            nxt += 1
-        else:
-            final.append(lab)
-    masses: dict[int, float] = {}
-    for i, lab in enumerate(final):
-        if px[i] > 0:
-            masses[lab] = masses.get(lab, 0.0) + px[i]
-    return _entropy_bits(masses.values()), tuple(final)
+    masses = [0.0] * len(reps)
+    for i, lab in enumerate(labels):
+        if lab >= 0:
+            masses[lab] += px[i]
+    fresh = itertools.count(len(reps))
+    return entropy_of_masses(masses), tuple(lab if lab >= 0 else next(fresh) for lab in labels)
 
 
 def one_way_complexity(p: JointPMF) -> float:
@@ -248,20 +235,16 @@ def _envelope(xs: np.ndarray, ys: np.ndarray) -> CapacityCurve:
         [(0.0, 0.0), *zip(xs[keep].tolist(), ys[keep].tolist())])
 
 
-def run_sweep(
-    p: JointPMF,
-    seed: int = 0,
-    restarts: int = RESTARTS,
-    multipliers: int = MULTIPLIERS,
-) -> SweepResult:
+def run_sweep(p: JointPMF, seed: int = 0) -> SweepResult:
     """Generate the candidate channel cloud and both envelopes.
 
-    One sweep serves both curves; callers evaluating many grid points should
-    reuse it.  A geometric multiplier ladder seeds the cloud; the envelope is
-    then refined by re-running the maximization at the chord slopes of its
-    own vertices, which fills gaps the fixed ladder stepped over (the
-    trade-off collapses to the trivial fixed point below a source-dependent
-    critical multiplier, so useful multipliers can cluster tightly).
+    One sweep serves both curves; the query functions read it.  A geometric
+    multiplier ladder seeds the cloud; the envelope is then refined by
+    re-running the maximization at the chord slopes of its own vertices,
+    which fills gaps the fixed ladder stepped over (the trade-off collapses
+    to the trivial fixed point below a source-dependent critical multiplier,
+    so useful multipliers can cluster tightly).  Each batch is scored once,
+    when it is made.
     """
     mat = pmf_matrix(p)
     nx, ny = mat.shape
@@ -279,26 +262,26 @@ def run_sweep(
         anchors[2, i, min(lab, nt - 1)] = 1.0
 
     rng = np.random.default_rng(seed)
-    ladder = np.exp2(np.linspace(-10.0, 10.0, multipliers))
+    ladder = np.exp2(np.linspace(-10.0, 10.0, MULTIPLIERS))
+
+    def scored(q, converged):
+        """The batch with its (i_x, i_y) in bits, floored at 0."""
+        ix, iy = _channel_scores(q, px, py, *_marginals(q, px, pygx))
+        return q, converged, np.maximum(ix, 0.0) / _LN2, np.maximum(iy, 0.0) / _LN2
 
     def launch(betas):
-        n_runs = restarts * len(betas)
-        q0 = rng.random((n_runs, nx, nt))
+        q0 = rng.random((RESTARTS * len(betas), nx, nt))
         q0 /= q0.sum(axis=2, keepdims=True)
-        return _ib_batch(px, pygx, h_row, py, q0, np.repeat(betas, restarts))
+        return scored(*_ib_batch(px, pygx, h_row, py, q0, np.repeat(betas, RESTARTS)))
 
-    batches = [(anchors, np.ones(3, bool))]
-    batches.append(launch(ladder))
+    batches = [scored(anchors, np.ones(3, bool)), launch(ladder)]
     probed = [math.log(b) for b in ladder]
 
-    def cloud():
-        qs = np.concatenate([b[0] for b in batches], axis=0)
-        conv = np.concatenate([b[1] for b in batches])
-        ix, iy = _channel_scores(qs, px, py, *_marginals(qs, px, pygx))
-        return qs, conv, np.maximum(ix, 0.0) / _LN2, np.maximum(iy, 0.0) / _LN2
+    def column(k):
+        return np.concatenate([batch[k] for batch in batches])
 
     for _ in range(REFINE_ROUNDS):
-        _, _, ix, iy = cloud()
+        ix, iy = column(2), column(3)
         comp_env = _envelope(ix, iy)
         cons_env = _envelope(np.maximum(ix - iy, 0.0), iy)
         fresh = []
@@ -314,17 +297,16 @@ def run_sweep(
         batches.append(launch(np.array(sorted(fresh))))
         probed.extend(math.log(b) for b in fresh)
 
-    all_q, all_conv, ix, iy = cloud()
-    mi = mutual_information(p)
+    ix, iy = column(2), column(3)
     # One channel's rows at a time: converting the whole cloud in one
     # tolist() call raised the process's peak memory by about 1 MB.
     channels = tuple(
         ChannelWitness(tuple(map(tuple, q.tolist())), x, y, conv)
-        for q, x, y, conv in zip(all_q, ix.tolist(), iy.tolist(), all_conv.tolist())
+        for q, x, y, conv in zip(column(0), ix.tolist(), iy.tolist(), column(1).tolist())
     )
     compressed = _envelope(ix, iy)
     constrained = _envelope(np.maximum(ix - iy, 0.0), iy)
-    return SweepResult(channels, compressed, constrained, mi, seed)
+    return SweepResult(channels, compressed, constrained, mutual_information(p), seed)
 
 
 @dataclass(frozen=True)
@@ -348,40 +330,27 @@ def _pick_witnesses(sweep: SweepResult, xs: Sequence[float],
             for k, ok in zip(best.tolist(), feasible.any(axis=1).tolist())]
 
 
-def compressed_curve_one_sided(
-    p: JointPMF,
-    alphas: Sequence[float],
-    seed: int = 0,
-    sweep: SweepResult | None = None,
-) -> tuple[TwoUserCurvePoint, ...]:
+def _curve_points(sweep: SweepResult, xs: Sequence[float],
+                  constrained: bool) -> tuple[TwoUserCurvePoint, ...]:
+    xs = [float(x) for x in xs]
+    if not all(x >= 0 for x in xs):
+        raise ValidationError(f"{'rates' if constrained else 'budgets'} must be nonnegative")
+    curve = sweep.constrained if constrained else sweep.compressed
+    return tuple(
+        TwoUserCurvePoint(x, float(curve.value_at(x)), w, w.converged if w else True)
+        for x, w in zip(xs, _pick_witnesses(sweep, xs, constrained)))
+
+
+def compressed_curve_one_sided(sweep: SweepResult,
+                               alphas: Sequence[float]) -> tuple[TwoUserCurvePoint, ...]:
     """Best one-way key rate per summary-information budget."""
-    if sweep is None:
-        sweep = run_sweep(p, seed=seed)
-    alphas = [float(a) for a in alphas]
-    if any(a < 0 for a in alphas):
-        raise ValidationError("budgets must be nonnegative")
-    return tuple(
-        TwoUserCurvePoint(a, float(sweep.compressed.value_at(a)), w,
-                          w.converged if w else True)
-        for a, w in zip(alphas, _pick_witnesses(sweep, alphas, False)))
+    return _curve_points(sweep, alphas, False)
 
 
-def constrained_curve_one_way(
-    p: JointPMF,
-    rates: Sequence[float],
-    seed: int = 0,
-    sweep: SweepResult | None = None,
-) -> tuple[TwoUserCurvePoint, ...]:
+def constrained_curve_one_way(sweep: SweepResult,
+                              rates: Sequence[float]) -> tuple[TwoUserCurvePoint, ...]:
     """Best one-way key rate per public discussion rate."""
-    if sweep is None:
-        sweep = run_sweep(p, seed=seed)
-    rates = [float(r) for r in rates]
-    if any(r < 0 for r in rates):
-        raise ValidationError("rates must be nonnegative")
-    return tuple(
-        TwoUserCurvePoint(r, float(sweep.constrained.value_at(r)), w,
-                          w.converged if w else True)
-        for r, w in zip(rates, _pick_witnesses(sweep, rates, True)))
+    return _curve_points(sweep, rates, True)
 
 
 @dataclass(frozen=True)
@@ -402,20 +371,14 @@ class DualityReport:
         return not any(pt.flagged for pt in self.points)
 
 
-def duality_check(
-    p: JointPMF,
-    alphas: Sequence[float],
-    seed: int = 0,
-    sweep: SweepResult | None = None,
-) -> DualityReport:
-    """Residuals of the budget-splitting identity tC(a) = C(a - tC(a)).
+def duality_check(p: JointPMF, sweep: SweepResult, alphas: Sequence[float]) -> DualityReport:
+    """Residuals of the budget-splitting identity tC(a) = C(a - tC(a)) on
+    the sweep of ``p``.
 
     The identity holds once the budget covers the common part both users
     hold outright; smaller budgets are rejected.  Points whose residual
     exceeds DUALITY_FLAG are flagged.
     """
-    if sweep is None:
-        sweep = run_sweep(p, seed=seed)
     jgk = float(gacs_korner(p))
     points = []
     for alpha in alphas:

@@ -168,18 +168,18 @@ def test_criterion_6_two_user_solver(intro_pmf, bit_pmf):
         assert abs(one_way_complexity(intro_pmf) - 1.0) < 1e-9
 
         sweep = run_sweep(intro_pmf)
-        tc = compressed_curve_one_sided(intro_pmf, [2.0], sweep=sweep)[0].value
+        tc = compressed_curve_one_sided(sweep, [2.0])[0].value
         assert abs(tc - 1.0) <= 1e-3
-        cr = constrained_curve_one_way(intro_pmf, [1.0], sweep=sweep)[0].value
+        cr = constrained_curve_one_way(sweep, [1.0])[0].value
         assert abs(cr - 1.0) <= 1e-3
-        report = duality_check(intro_pmf, [1.0, 1.5, 2.0], sweep=sweep)
+        report = duality_check(intro_pmf, sweep, [1.0, 1.5, 2.0])
         assert report.ok
         for pt in report.points:
             assert pt.residual < 5e-3
 
         grid = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
         for alpha, pt in zip(grid, compressed_curve_one_sided(
-                bit_pmf, grid, sweep=run_sweep(bit_pmf))):
+                run_sweep(bit_pmf), grid)):
             assert abs(pt.value - min(alpha, 1.0)) <= 1e-6
 
         rng = random.Random(4242)
@@ -195,12 +195,12 @@ def test_criterion_6_two_user_solver(intro_pmf, bit_pmf):
                                               step=32)
             psweep = run_sweep(p)
             info = mutual_information(p)
-            comp = compressed_curve_one_sided(p, comp_grid, sweep=psweep)
+            comp = compressed_curve_one_sided(psweep, comp_grid)
             for pt in comp:
                 assert pt.value >= ref.compressed.feas_value(pt.x) - 1e-3
                 assert pt.value <= ref.compressed.env_value(pt.x) + 1e-3
                 assert pt.value <= min(pt.x, info) + 1e-9
-            cons = constrained_curve_one_way(p, cons_grid, sweep=psweep)
+            cons = constrained_curve_one_way(psweep, cons_grid)
             for pt in cons:
                 assert pt.value >= ref.constrained.feas_value(pt.x) - 1e-3
                 assert pt.value <= ref.constrained.env_value(pt.x) + 1e-3
@@ -229,7 +229,7 @@ def test_criterion_7_every_curve_is_well_formed(example1, triangle, star, path3,
         for _ in range(10):
             pts.append((F(rng.randint(0, 30), 2), F(rng.randint(0, 12), 3)))
         curves.append(upper_concave_envelope(pts))
-        sweep = run_sweep(bit_pmf, restarts=8, multipliers=8)
+        sweep = run_sweep(bit_pmf)
         curves.extend([sweep.compressed, sweep.constrained])
         assert len(curves) > 20
         for curve in curves:

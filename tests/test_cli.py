@@ -1,5 +1,7 @@
 import gc
 import json
+import math
+import os
 import subprocess
 import sys
 
@@ -134,6 +136,30 @@ def test_two_user_constrained_mode(capsys, write_source):
         assert abs(float(line.split(",")[1]) - 1.0) <= 1e-6
 
 
+# A NaN probability and NaN curve coordinates: Python's json reads NaN.
+NAN_PMF = {"kind": "pmf", "users": ["1", "2"], "alphabets": [2, 2],
+           "table": [[0, 0, math.nan], [0, 1, 0.5], [1, 1, 0.5]]}
+
+
+@pytest.mark.parametrize("argv", [["mmi"], ["rco"], ["two-user", "--grid", "0:1:1/2"]])
+def test_non_finite_probability_rejected(capsys, write_source, argv):
+    path = write_source(NAN_PMF)
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("upper", [[[math.nan, math.nan]], [[0, 0], [1, math.nan]]])
+def test_non_finite_upper_curve_rejected(capsys, write_source, tmp_path, upper):
+    path = write_source(_sources.EXAMPLE1)
+    curve = tmp_path / "upper.json"
+    curve.write_text(json.dumps(upper), encoding="utf-8")
+    code, out, err = run_cli(capsys, "sandwich", path, "--grid", "0:2:1",
+                             "--cs-upper", str(curve))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # Per case: the fixture and the argv after the source path.
 CYCLE_CASES = {
     "mmi": ("EXAMPLE1", ["mmi"]),
@@ -241,10 +267,18 @@ def test_internal_check_exit_code(capsys, write_source, monkeypatch):
     assert "Traceback" not in err
 
 
+def _child_env():
+    """Environment for a child interpreter that imports this checkout's skalc,
+    whether or not the package is installed."""
+    src = os.path.dirname(os.path.dirname(skalc.cli.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_module_entry_point(write_source):
     path = write_source(_sources.TRIANGLE)
     proc = subprocess.run([sys.executable, "-m", "skalc", "mmi", path],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["mmi"] == "3/2"
 
@@ -259,6 +293,7 @@ def test_numpy_loaded_only_for_two_user(write_source):
         "assert callable(skalc.run_sweep)\n"
         "assert 'numpy' in sys.modules\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, path], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script, path], capture_output=True, text=True,
+                          env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["mmi"] == "3/2"

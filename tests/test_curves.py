@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,8 @@ import pytest
 
 from skalc.curves import CapacityCurve, check_curve, constant_curve, upper_concave_envelope
 from skalc.errors import ValidationError
+
+import _oracle
 
 
 def test_basic_accessors():
@@ -17,6 +20,9 @@ def test_basic_accessors():
     assert curve.saturation_x() == F(3)
     assert curve.exact
     assert check_curve(curve)
+    for x in (F(-1), math.nan):
+        with pytest.raises(ValidationError):
+            curve.value_at(x)
 
 
 def test_constant_curve():
@@ -33,6 +39,9 @@ def test_constant_curve():
     ((F(0), F(1)), (F(1), F(0))),                       # decreasing
     ((F(0), F(0)), (F(0), F(1))),                       # duplicate x
     (),                                                 # empty
+    ((math.nan, math.nan),),                            # non-finite floats
+    ((0.0, 0.0), (1.0, math.nan)),
+    ((0.0, 0.0), (math.inf, 1.0)),
 ])
 def test_invalid_curves_rejected(points):
     with pytest.raises(ValidationError):
@@ -71,3 +80,21 @@ def test_envelope_keeps_a_vertex_over_its_dominated_near_duplicate():
     # 1e-12 slope tolerance it would pop the true vertex.
     env = upper_concave_envelope([(0.0, 0.0), (1.0, 1.0), (1.0 + 1e-13, 1.0 - 1e-13)])
     assert env.points == ((0.0, 0.0), (1.0, 1.0))
+
+
+def test_envelope_matches_the_oracle_majorant_on_exact_clouds():
+    # Lattice coordinates give repeated x values, equal y values and
+    # collinear triples.
+    rng = random.Random(77)
+    for _ in range(300):
+        pts = [(F(0), F(rng.randint(0, 4), 2))]
+        for _ in range(rng.randint(0, 25)):
+            pts.append((F(rng.randint(0, 12), rng.choice((1, 2, 3))),
+                        F(rng.randint(0, 12), rng.choice((1, 2, 3)))))
+        rng.shuffle(pts)
+        majorant = _oracle._concave_majorant(pts)
+        # The oracle keeps every rising point at x = 0; a curve starts at the
+        # highest of them.
+        while len(majorant) > 1 and majorant[1][0] == 0:
+            majorant.pop(0)
+        assert list(upper_concave_envelope(pts).points) == majorant

@@ -84,18 +84,10 @@ def test_one_way_complexity(intro_pmf, bit_pmf):
     assert abs(one_way_complexity(indep)) < 1e-9
 
 
-def test_sweep_deterministic(intro_pmf):
-    a = run_sweep(intro_pmf, seed=5, restarts=8, multipliers=8)
-    b = run_sweep(intro_pmf, seed=5, restarts=8, multipliers=8)
-    assert a.compressed.points == b.compressed.points
-    assert a.constrained.points == b.constrained.points
-    assert a.seed == 5
-
-
 def test_compressed_curve_intro(intro_pmf):
     sweep = run_sweep(intro_pmf)
     alphas = [0.0, 0.5, 1.0, 1.5, 2.0]
-    points = compressed_curve_one_sided(intro_pmf, alphas, sweep=sweep)
+    points = compressed_curve_one_sided(sweep, alphas)
     for alpha, pt in zip(alphas, points):
         assert pt.x == alpha
         assert abs(pt.value - alpha / 2) <= 1e-3
@@ -124,7 +116,7 @@ def test_compressed_curve_intro(intro_pmf):
 def test_compressed_curve_uniform_bit(bit_pmf):
     sweep = run_sweep(bit_pmf)
     alphas = [0.0, 0.25, 0.5, 1.0, 1.5]
-    points = compressed_curve_one_sided(bit_pmf, alphas, sweep=sweep)
+    points = compressed_curve_one_sided(sweep, alphas)
     for alpha, pt in zip(alphas, points):
         assert abs(pt.value - min(alpha, 1.0)) <= 1e-6
 
@@ -133,7 +125,7 @@ def test_compressed_curve_general_properties(intro_pmf):
     sweep = run_sweep(intro_pmf)
     info = mutual_information(intro_pmf)
     grid = [0.1 * k for k in range(21)]
-    points = compressed_curve_one_sided(intro_pmf, grid, sweep=sweep)
+    points = compressed_curve_one_sided(sweep, grid)
     values = [pt.value for pt in points]
     for alpha, v in zip(grid, values):
         assert v <= alpha + 1e-9
@@ -144,7 +136,7 @@ def test_compressed_curve_general_properties(intro_pmf):
 def test_constrained_curve(intro_pmf, bit_pmf):
     sweep = run_sweep(intro_pmf)
     comp = one_way_complexity(intro_pmf)
-    points = constrained_curve_one_way(intro_pmf, [0.0, 0.5, 1.0, 2.0], sweep=sweep)
+    points = constrained_curve_one_way(sweep, [0.0, 0.5, 1.0, 2.0])
     assert points[0].value <= 1e-3
     for pt in points:
         if pt.x >= comp - 1e-9:
@@ -152,28 +144,29 @@ def test_constrained_curve(intro_pmf, bit_pmf):
     values = [pt.value for pt in points]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     # identical observations: full rate never needed
-    ident = constrained_curve_one_way(bit_pmf, [0.0, 1.0], sweep=run_sweep(bit_pmf))
+    ident = constrained_curve_one_way(run_sweep(bit_pmf), [0.0, 1.0])
     for pt in ident:
         assert abs(pt.value - 1.0) <= 1e-6
 
 
 def test_constrained_independent_pair():
     indep = parse_source(_sources.INDEP_PMF)
-    points = constrained_curve_one_way(indep, [0.0, 1.0], sweep=run_sweep(indep))
+    points = constrained_curve_one_way(run_sweep(indep), [0.0, 1.0])
     for pt in points:
         assert abs(pt.value) <= 1e-9
 
 
 def test_negative_grid_rejected(intro_pmf):
-    sweep = run_sweep(intro_pmf, restarts=4, multipliers=4)
-    with pytest.raises(ValidationError):
-        compressed_curve_one_sided(intro_pmf, [-0.5], sweep=sweep)
-    with pytest.raises(ValidationError):
-        constrained_curve_one_way(intro_pmf, [-0.1], sweep=sweep)
+    sweep = run_sweep(intro_pmf)
+    for bad in (-0.5, math.nan):
+        with pytest.raises(ValidationError):
+            compressed_curve_one_sided(sweep, [bad])
+        with pytest.raises(ValidationError):
+            constrained_curve_one_way(sweep, [bad])
 
 
 def test_duality_intro(intro_pmf):
-    report = duality_check(intro_pmf, [1.0, 1.5, 2.0])
+    report = duality_check(intro_pmf, run_sweep(intro_pmf), [1.0, 1.5, 2.0])
     assert report.ok
     for pt in report.points:
         assert pt.residual < 5e-3
@@ -181,9 +174,10 @@ def test_duality_intro(intro_pmf):
 
 
 def test_duality_below_common_information(bit_pmf):
+    sweep = run_sweep(bit_pmf)
     with pytest.raises(ValidationError):
-        duality_check(bit_pmf, [0.5])
-    report = duality_check(bit_pmf, [1.0, 2.0])
+        duality_check(bit_pmf, sweep, [0.5])
+    report = duality_check(bit_pmf, sweep, [1.0, 2.0])
     assert report.ok
 
 
@@ -210,11 +204,11 @@ def test_solver_matches_quantized_reference():
     cons_grid = [0.02, 0.1, 0.3]
     ref = _oracle.BruteForceReference(pmat, comp_grid, cons_grid, step=16)
     sweep = run_sweep(p)
-    comp = compressed_curve_one_sided(p, comp_grid, sweep=sweep)
+    comp = compressed_curve_one_sided(sweep, comp_grid)
     for pt in comp:
         assert pt.value >= ref.compressed.feas_value(pt.x) - 2e-3
         assert pt.value <= ref.compressed.env_value(pt.x) + 2e-3
-    cons = constrained_curve_one_way(p, cons_grid, sweep=sweep)
+    cons = constrained_curve_one_way(sweep, cons_grid)
     for pt in cons:
         assert pt.value >= ref.constrained.feas_value(pt.x) - 2e-3
         assert pt.value <= ref.constrained.env_value(pt.x) + 2e-3
@@ -262,7 +256,27 @@ def test_frozen_sweep_matches_oracle_loop(frozen_and_oracle_sweeps):
 
 def test_sweep_channels_repeat_for_a_seed(frozen_and_oracle_sweeps):
     for p, seed, frozen, _ in frozen_and_oracle_sweeps:
-        assert run_sweep(p, seed=seed).channels == frozen.channels
+        again = run_sweep(p, seed=seed)
+        assert again.channels == frozen.channels
+        assert again.compressed == frozen.compressed
+        assert again.constrained == frozen.constrained
+        assert again.seed == frozen.seed == seed
+
+
+def test_stored_scores_match_a_fresh_scoring(frozen_and_oracle_sweeps):
+    # Each batch is scored once, when it is made; scoring the whole cloud
+    # again gives the very same floats.
+    for p, _, sweep, _ in frozen_and_oracle_sweeps:
+        mat = pmf_matrix(p)
+        px, py = mat.sum(axis=1), mat.sum(axis=0)
+        pygx = np.where(px[:, None] > 0, mat / np.maximum(px, 1e-300)[:, None],
+                        1.0 / mat.shape[1])
+        q = np.array([ch.matrix for ch in sweep.channels])
+        ix, iy = two_user._channel_scores(q, px, py, *two_user._marginals(q, px, pygx))
+        assert (np.maximum(ix, 0.0) / math.log(2.0)).tolist() == [
+            ch.info_x for ch in sweep.channels]
+        assert (np.maximum(iy, 0.0) / math.log(2.0)).tolist() == [
+            ch.info_y for ch in sweep.channels]
 
 
 def test_witness_pick_matches_loop(benchmark_two_user_sweeps):
@@ -312,6 +326,6 @@ def test_compressed_curve_closed_forms(source, closed_form):
     # Gerber's Lemma; binary erasure: (1 - eps) * alpha.
     p = parse_source(source)
     alphas = [k / 10 for k in range(1, 10)]
-    for pt in compressed_curve_one_sided(p, alphas, sweep=run_sweep(p)):
+    for pt in compressed_curve_one_sided(run_sweep(p), alphas):
         exact = closed_form(pt.x)
         assert exact - 1e-3 <= pt.value <= exact + 1e-9
