@@ -9,7 +9,9 @@ known exactly and both curves here are closed forms.  In general we compute:
   score the restricted source by its partition-based mutual information,
   and take the best value under the entropy budget.  Maximizing over
   fractional retentions is an exact rational LP (partition constraints,
-  box constraints, one budget row); the full curve in ``alpha`` is
+  box constraints, one budget row) whose partition constraints enter as
+  cutting planes: the most violated one at retention f is mmi's minimizer
+  of the source restricted to f.  The full curve in ``alpha`` is
   reconstructed breakpoint-by-breakpoint from LP values and duals.  The
   witness at each breakpoint is the LP's retention vector there; it is a
   plain 0/1 edge subset exactly when the LP's vector is 0/1.  Subsets
@@ -35,11 +37,13 @@ from typing import Callable, Mapping, Sequence
 from .curves import CapacityCurve, upper_concave_envelope
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 from .lp import simplex_min
-from .mmi import iter_partitions, mmi
+from .mmi import _minimize_exact, iter_partitions, mmi
 from .source_model import (
     EdgeRestriction,
     HypergraphicalSource,
     SourceSpec,
+    _hypergraph_table,
+    entropy_table,
     gacs_korner,
     is_pin,
 )
@@ -125,66 +129,51 @@ class LowerBoundResult:
     witnesses: Mapping[tuple[Fraction, Fraction], LowerBoundWitness]
 
 
-def _partition_coefficients(source: HypergraphicalSource) -> tuple[list[tuple[int, ...]], int]:
-    """Per-partition linear forms I_P(f) = sum_e coeff[P][e] * f_e / scale.
+def _cut_row(source: HypergraphicalSource, blocks: tuple[int, ...]) -> list[int]:
+    """LP row of the cut t <= I_P(f) for the partition given by its block masks.
 
-    The rows are ints over one scale D * lcm(1..n-1), with D the source's
-    weight denominator, in ``iter_partitions`` order (single block skipped).
+    Scaled by D * (|P| - 1), with D the source's weight denominator, the cut
+    reads D * (|P| - 1) * t - sum_e int_w_e * (blocks e touches - 1) * f_e <= 0.
     """
-    n = len(source.users)
-    emasks = source.edge_masks()
-    blocks_lcm = math.lcm(*range(1, n))
-    coeffs = []
-    for block_masks in iter_partitions(n):
-        nb = len(block_masks)
-        if nb < 2:
-            continue
-        per_block = blocks_lcm // (nb - 1)
-        coeffs.append(tuple(
-            w * (sum(1 for bm in block_masks if bm & emask) - 1) * per_block
-            for emask, w in zip(emasks, source.int_weights)
-        ))
-    return coeffs, source.denominator * blocks_lcm
+    return [source.denominator * (len(blocks) - 1)] + [
+        -w * (sum(1 for bm in blocks if bm & emask) - 1)
+        for emask, w in zip(source.edge_masks(), source.int_weights)
+    ]
 
 
 def _best_restriction(
-    coeffs: list[tuple[int, ...]],
-    scale: int,
-    weights: Sequence[Fraction],
+    source: HypergraphicalSource,
+    partitions: Sequence[tuple[int, ...]],
     alpha: Fraction,
-    seed_active: list[int],
+    seed: tuple[int, ...],
 ):
     """Maximize min_P I_P(f) s.t. H(f) <= alpha, 0 <= f <= 1.
 
     Cutting-plane loop: solve with a working set of partition constraints,
-    then add the most violated partition until none is violated.  Returns
-    (value, f, slope) where slope is a subgradient of the value in alpha,
-    taken from the budget-row dual.
+    seeded with ``seed``, then add the most violated partition, mmi's first
+    minimizer over ``partitions`` of the source restricted to the LP's f,
+    until none is violated.  Returns (value, f, slope) where slope is a
+    subgradient of the value in alpha, taken from the budget-row dual.
     """
-    m = len(weights)
-    active = list(seed_active)
-    for _ in range(len(coeffs) + 2):
-        rows = [[scale] + [-cf for cf in coeffs[p]] for p in active]
-        rhs = [0] * len(rows)
-        budget_row = len(rows)
-        rows.append([0, *weights])
-        rhs.append(alpha)
-        for e in range(m):
-            box = [0] * (m + 1)
-            box[1 + e] = 1
-            rows.append(box)
-            rhs.append(1)
-        sol = simplex_min([-1] + [0] * m, rows, rhs)
+    m = len(source.weights)
+    cuts = [_cut_row(source, seed)]
+    fixed = [[0, *source.weights]]
+    fixed += [[0] * (1 + e) + [1] + [0] * (m - 1 - e) for e in range(m)]
+    for _ in range(len(partitions) + 2):
+        budget_row = len(cuts)
+        rhs = [0] * budget_row + [alpha] + [1] * m
+        sol = simplex_min([-1] + [0] * m, cuts + fixed, rhs)
         t_star = sol.x[0]
         f_star = sol.x[1:]
-        # Separation in ints: with f* = g / q, partition P scores
-        # sum_e coeff[P][e] * g_e = I_P(f*) * scale * q.
+        # With f* = g / q, the restricted source has int weights
+        # int_w_e * g_e over D * q.
         q = math.lcm(*(fe.denominator for fe in f_star))
         g = [fe.numerator * (q // fe.denominator) for fe in f_star]
-        scores = [sum(map(mul, row, g)) for row in coeffs]
-        worst = min(scores)
-        if worst < t_star * scale * q:
-            active.append(scores.index(worst))
+        h = _hypergraph_table(len(source.users), source.edge_masks(),
+                              list(map(mul, source.int_weights, g)))
+        value, minimizers = _minimize_exact(h, partitions, source.denominator * q)
+        if value < t_star:
+            cuts.append(_cut_row(source, minimizers[0]))
             continue
         slope = -sol.duals[budget_row]
         return t_star, tuple(f_star), slope
@@ -261,15 +250,11 @@ def lower_bound_curve(source: HypergraphicalSource) -> LowerBoundResult:
         witness = LowerBoundWitness(((Fraction(1), EdgeRestriction({}), zero, zero),))
         return LowerBoundResult(curve, {(zero, zero): witness})
 
-    coeffs, scale = _partition_coefficients(source)
-    h_full = source.total_entropy()
-    full_vals = [sum(row) for row in coeffs]
-    seed = [full_vals.index(min(full_vals))]
-
-    def evaluate(alpha: Fraction):
-        return _best_restriction(coeffs, scale, source.weights, alpha, seed)
-
-    store = _reconstruct_curve(evaluate, zero, h_full)
+    # One enumeration per curve; every separation scores this list.
+    partitions = [blocks for blocks in iter_partitions(n) if len(blocks) > 1]
+    seed = _minimize_exact(entropy_table(source), partitions, source.denominator)[1][0]
+    store = _reconstruct_curve(lambda alpha: _best_restriction(source, partitions, alpha, seed),
+                               zero, source.total_entropy())
     curve = upper_concave_envelope([(a, v) for a, (v, _, _) in store.items()])
 
     witnesses = {}
@@ -393,6 +378,9 @@ def sandwich(
     """
     if not alphas:
         raise ValidationError("the budget grid must not be empty")
+    alphas = [Fraction(alpha) for alpha in alphas]
+    if min(alphas) < 0:
+        raise ValidationError("grid budgets must be nonnegative")
     lb = lower_bound_curve(source)
     # I_P(f) is nondecreasing in the retention f, so the curve saturates at
     # mmi once the budget covers H(V).
@@ -400,9 +388,6 @@ def sandwich(
     jgk = gacs_korner(source)
     rows = []
     for alpha in alphas:
-        alpha = Fraction(alpha)
-        if alpha < 0:
-            raise ValidationError("grid budgets must be nonnegative")
         lower = max(lb.curve.value_at(alpha), min(alpha, jgk))
         upper = min(alpha, cap)
         if cs_upper is not None:

@@ -36,11 +36,14 @@ GRID_CAP = 10_000
 
 def _parse_grid(text: str) -> list[Fraction]:
     parts = text.split(":")
-    if len(parts) == 1:
-        return [parse_rational(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValidationError(f"grid must be 'start:stop:step', got {text!r}")
-    start, stop, step = (parse_rational(p) for p in parts)
+    start = parse_rational(parts[0])
+    if start < 0:
+        raise ValidationError("grid values must be nonnegative")
+    if len(parts) == 1:
+        return [start]
+    stop, step = (parse_rational(p) for p in parts[1:])
     if step <= 0:
         raise ValidationError("grid step must be positive")
     if stop < start:
@@ -146,7 +149,10 @@ def _cmd_two_user(args) -> int:
     from . import two_user  # numpy is loaded only for this command
 
     source = load_source(args.source)
-    grid = [float(g) for g in _parse_grid(args.grid)]
+    try:
+        grid = [float(g) for g in _parse_grid(args.grid)]
+    except OverflowError:
+        raise ValidationError(f"grid {args.grid!r} leaves the float range") from None
     sweep = two_user.run_sweep(source, seed=args.seed)
     if args.mode == "compressed":
         points = two_user.compressed_curve_one_sided(sweep, grid)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 from .source_model import HypergraphicalSource, SourceSpec, entropy, entropy_table, is_pin
@@ -145,7 +145,7 @@ def mmi(source: SourceSpec, cap: int = DEFAULT_USER_CAP) -> MmiResult:
         raise ResourceCapError(f"{n} users exceed partition enumeration cap {cap}")
     h = entropy_table(source)
     if isinstance(source, HypergraphicalSource):
-        value, minimizer_masks = _minimize_exact(h, n, source.denominator)
+        value, minimizer_masks = _minimize_exact(h, iter_partitions(n), source.denominator)
     else:
         value, minimizer_masks = _minimize_float(h, n)
     minimizers = tuple(_canonical_partition(source, m) for m in minimizer_masks)
@@ -159,16 +159,19 @@ def mmi(source: SourceSpec, cap: int = DEFAULT_USER_CAP) -> MmiResult:
     return MmiResult(value, finest, minimizers)
 
 
-def _minimize_exact(h: list[int], n: int, denom: int) -> tuple[Fraction, list[tuple[int, ...]]]:
-    """Minimum of I_P and its minimizers in enumeration order, in integers.
+def _minimize_exact(
+    h: list[int], partitions: Iterable[tuple[int, ...]], denom: int
+) -> tuple[Fraction, list[tuple[int, ...]]]:
+    """Minimum of I_P over ``partitions`` and its minimizers in their order.
 
     With every entropy an int over ``denom``, I_P is the pair (sum of block
     entropies - H(V), blocks - 1), and pairs compare by cross-multiplication.
+    Single-block partitions are skipped; ``capacity`` reuses one list.
     """
     total = h[-1]
     best_s, best_k = 0, 0
     found: list[tuple[int, ...]] = []
-    for blocks in iter_partitions(n):
+    for blocks in partitions:
         k = len(blocks) - 1
         if not k:
             continue

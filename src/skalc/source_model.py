@@ -231,8 +231,6 @@ def _parse_hypergraph(data: dict) -> HypergraphicalSource:
     if not isinstance(edges, list) or not edges:
         raise ValidationError("'edges' must be a non-empty list")
     index = {u: i for i, u in enumerate(users)}
-    if len(index) != len(users):
-        raise ValidationError("duplicate user ids")
     ids, incs, weights = [], [], []
     for entry in edges:
         if not isinstance(entry, dict):
@@ -352,25 +350,33 @@ def entropy(source: SourceSpec, group: Iterable[str]) -> Fraction | float:
 def entropy_table(source: SourceSpec) -> list:
     """h[mask], the joint entropy of every user set given as a bitmask.
 
-    Hypergraphs: ints over ``source.denominator``.  One subset-sum pass gives
-    inside[S], the weight of the edges within S; h[S] is all edges less those
-    within the complement of S.  Pmfs: floats, one ``entropy`` call per set.
+    Hypergraphs: ints over ``source.denominator``, from ``_hypergraph_table``
+    on the integer weights.  Pmfs: floats, one ``entropy`` call per set.
     """
     n = len(source.users)
-    size = 1 << n
     if isinstance(source, HypergraphicalSource):
-        inside = [0] * size
-        for emask, w in zip(source._edge_masks, source.int_weights):
-            inside[emask] += w
-        for i in range(n):
-            bit = 1 << i
-            for mask in range(size):
-                if mask & bit:
-                    inside[mask] += inside[mask ^ bit]
-        total = inside[-1]
-        return [total - inside[(size - 1) ^ mask] for mask in range(size)]
+        return _hypergraph_table(n, source._edge_masks, source.int_weights)
     users = source.users
-    return [entropy(source, [u for i, u in enumerate(users) if mask >> i & 1]) for mask in range(size)]
+    return [entropy(source, [u for i, u in enumerate(users) if mask >> i & 1]) for mask in range(1 << n)]
+
+
+def _hypergraph_table(n: int, edge_masks: Sequence[int], weights: Sequence[int]) -> list[int]:
+    """h[mask], the total weight of the edges touching each user set.
+
+    One subset-sum pass gives inside[S], the weight of the edges within S;
+    h[S] is all edges less those within the complement of S.
+    """
+    size = 1 << n
+    inside = [0] * size
+    for emask, w in zip(edge_masks, weights):
+        inside[emask] += w
+    for i in range(n):
+        bit = 1 << i
+        for mask in range(size):
+            if mask & bit:
+                inside[mask] += inside[mask ^ bit]
+    total = inside[-1]
+    return [total - inside[(size - 1) ^ mask] for mask in range(size)]
 
 
 def conditional_entropy(source: SourceSpec, group: Iterable[str]) -> Fraction | float:
@@ -392,8 +398,6 @@ def _gacs_korner_pmf(source: JointPMF) -> float:
     # Maximum common function: finest labeling constant on every coordinate
     # fiber.  Outcomes sharing any coordinate value must share a label, so the
     # labels are the connected components of that agreement relation.
-    if len(source.outcomes) > PMF_SUPPORT_CAP:
-        raise ResourceCapError("pmf support exceeds component-search cap")
     parent = list(range(len(source.outcomes)))
 
     def find(a):

@@ -1,7 +1,4 @@
-import importlib.util
 import json
-import pathlib
-import sys
 
 import pytest
 
@@ -18,6 +15,7 @@ else:
 from skalc.source_model import parse_source
 
 import _sources
+from _benchmark import benchmark_jobs
 
 
 @pytest.fixture
@@ -69,11 +67,5 @@ def benchmark_two_user_sweeps():
     pool, each at its job's seed."""
     from skalc.two_user import run_sweep
 
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses look their module up here
-    spec.loader.exec_module(workloads)
-    jobs = workloads.make_jobs(workloads.WORKLOADS["two-user-sweep"], workloads.DEFAULT_SEED)
     return [run_sweep(parse_source(job.source), seed=int(job.argv[job.argv.index("--seed") + 1]))
-            for job in jobs]
+            for job in benchmark_jobs("two-user-sweep")]

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -10,7 +11,7 @@ from skalc.capacity import (
     EDGE_CAP,
     LB_USER_CAP,
     _best_restriction,
-    _partition_coefficients,
+    _cut_row,
     alpha_s_lower_bound,
     duality_upper_bound,
     gk_floor,
@@ -19,13 +20,14 @@ from skalc.capacity import (
     sandwich,
     witness_at,
 )
-from skalc.curves import CapacityCurve, check_curve, constant_curve
+from skalc.curves import CapacityCurve, check_curve, constant_curve, upper_concave_envelope
 from skalc.errors import InternalCheckError, ResourceCapError, ValidationError
-from skalc.mmi import mmi
-from skalc.source_model import entropy, parse_source, restrict
+from skalc.mmi import iter_partitions, mmi
+from skalc.source_model import _hypergraph_table, entropy, entropy_table, parse_source, restrict
 
 import _oracle
 import _sources
+from _benchmark import benchmark_jobs
 
 
 def test_pin_curves_triangle(triangle):
@@ -139,14 +141,39 @@ def test_lower_bound_saturates_at_interaction():
         assert check_curve(lb.curve)
 
 
-def test_partition_coefficients_follow_rgs_order():
+def _cuts(src):
+    return [blocks for blocks in iter_partitions(len(src.users)) if len(blocks) > 1]
+
+
+def test_cut_rows_follow_rgs_order():
     rng = random.Random(11)
     for n in range(2, 7):
         src = parse_source(_sources.random_hypergraph(rng, n_users=n))
-        rows, scale = _partition_coefficients(src)
+        partitions = _cuts(src)
+        rows = [_cut_row(src, blocks) for blocks in partitions]
         assert all(type(v) is int for row in rows for v in row)
-        unscaled = [tuple(F(v, scale) for v in row) for row in rows]
+        assert [row[0] for row in rows] == [src.denominator * (len(b) - 1) for b in partitions]
+        unscaled = [tuple(F(-v, row[0]) for v in row[1:]) for row in rows]
         assert unscaled == _oracle.partition_coefficients(src)
+
+
+def test_separation_table_is_the_restricted_entropy_table():
+    # With f = g / q, weights int_w_e * g_e over D * q are the weights of
+    # restrict(src, f); the subset-sum pass must give its entropy table.
+    rng = random.Random(23)
+    for _ in range(40):
+        src = parse_source(_sources.random_hypergraph(rng, n_users=rng.randint(2, 6)))
+        f = []
+        for _ in src.weights:
+            den = rng.randint(1, 6)
+            f.append(F(rng.choice((0, den, rng.randint(0, den))), den))
+        q = math.lcm(*(fe.denominator for fe in f))
+        g = [fe.numerator * (q // fe.denominator) for fe in f]
+        table = _hypergraph_table(len(src.users), src.edge_masks(),
+                                  [w * ge for w, ge in zip(src.int_weights, g)])
+        kept = restrict(src, dict(zip(src.edge_ids, f)))
+        assert ([F(v, src.denominator * q) for v in table]
+                == [F(v, kept.denominator) for v in entropy_table(kept)])
 
 
 def test_curve_reconstruction_order_and_no_reference_cycles():
@@ -185,18 +212,70 @@ def test_separation_adds_the_fraction_oracles_cuts(monkeypatch):
                 for _ in range(4)]
     sources += [parse_source(_sources.random_connected_pin(rng, n_users=6)) for _ in range(4)]
     for src in sources:
-        rows, scale = _partition_coefficients(src)
-        sums = [sum(row) for row in rows]
-        seed = [sums.index(min(sums))]
+        partitions = _cuts(src)
+        coeffs = _oracle.partition_coefficients(src)
+        sums = [sum(row) for row in coeffs]
+        seed = sums.index(min(sums))
         total = src.total_entropy()
         for k in range(9):
             alpha = total * k / 8
-            got = _best_restriction(rows, scale, src.weights, alpha, seed)
-            want = _oracle.best_restriction(_oracle.partition_coefficients(src), src.weights,
-                                            alpha, seed)
+            got = _best_restriction(src, partitions, alpha, partitions[seed])
+            want = _oracle.best_restriction(coeffs, src.weights, alpha, [seed])
             assert got == want
             assert solves["int"] == solves["fraction"]
     assert solves["int"] > len(sources) * 9
+
+
+def test_cutting_plane_guard_bounds_the_rounds(monkeypatch):
+    src = parse_source(_sources.EXAMPLE1)
+    partitions = _cuts(src)
+    solves = []
+    solve = capacity.simplex_min
+    monkeypatch.setattr(capacity, "simplex_min", lambda *args: solves.append(1) or solve(*args))
+    # a separation that always reports a violated cut
+    monkeypatch.setattr(capacity, "_minimize_exact",
+                        lambda h, parts, denom: (F(-1), [partitions[0]]))
+    with pytest.raises(InternalCheckError, match="converge"):
+        _best_restriction(src, partitions, F(1), partitions[0])
+    assert len(solves) == len(partitions) + 2
+
+
+def _assert_curve_matches_the_oracle(src):
+    """lower_bound_curve against _reconstruct_curve driven by the Fraction
+    cutting-plane loop over the oracle's rows: same points, same witnesses."""
+    coeffs = _oracle.partition_coefficients(src)
+    sums = [sum(row) for row in coeffs]
+    seed = [sums.index(min(sums))]
+    store = capacity._reconstruct_curve(
+        lambda a: _oracle.best_restriction(coeffs, src.weights, a, seed),
+        F(0), src.total_entropy())
+    points = upper_concave_envelope([(a, v) for a, (v, _, _) in store.items()]).points
+    got = lower_bound_curve(src)
+    assert got.curve.points == points
+    assert set(got.witnesses) == set(points)
+    for x, y in points:
+        f = store[x][1]
+        ((weight, restriction, value, used),) = got.witnesses[(x, y)].components
+        assert weight == 1 and value == y
+        assert restriction.fractions == dict(zip(src.edge_ids, f))
+        assert used == sum(w * fe for w, fe in zip(src.weights, f))
+
+
+def test_curve_matches_the_oracle():
+    rng = random.Random(31)
+    sources = [parse_source(d) for d in (_sources.EXAMPLE1, _sources.STAR, _sources.TRIANGLE,
+                                         _sources.PATH3, _sources.OMNI)]
+    sources += [parse_source(_sources.random_hypergraph(rng, n_users=rng.randint(2, 5)))
+                for _ in range(8)]
+    for src in sources:
+        _assert_curve_matches_the_oracle(src)
+
+
+def test_curve_matches_the_oracle_on_the_benchmark_cycle():
+    jobs = benchmark_jobs("budget-curves", cycles=1)
+    assert len(jobs) == 9
+    for job in jobs:
+        _assert_curve_matches_the_oracle(parse_source(job.source))
 
 
 def test_lower_bound_caps():
@@ -283,8 +362,14 @@ def test_sandwich_crossed_bounds_detected(example1):
         sandwich(example1, [F(1)], cs_upper=constant_curve(F(0)))
 
 
-def test_sandwich_rejects_bad_grid(example1):
+def test_sandwich_rejects_bad_grid(example1, monkeypatch):
+    def no_curve(source):
+        raise AssertionError("the grid is checked before the curve is built")
+
+    monkeypatch.setattr(capacity, "lower_bound_curve", no_curve)
     with pytest.raises(ValidationError):
         sandwich(example1, [F(-1)])
+    with pytest.raises(ValidationError):
+        sandwich(example1, [F(1), F(2), F(-1, 2)])
     with pytest.raises(ValidationError):
         sandwich(example1, [])

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+import skalc.capacity
 import skalc.cli
+import skalc.two_user
 from skalc import protocol_sim
 from skalc.cli import main
 from skalc.errors import InternalCheckError
@@ -100,6 +102,26 @@ def test_bad_grids_rejected(capsys, write_source, grid):
     code, _, err = run_cli(capsys, "sandwich", path, "--grid", grid)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, source, grid", [
+    ("sandwich", "EXAMPLE1", "-1"),
+    ("sandwich", "EXAMPLE1", "-1:2:1"),
+    ("two-user", "BIT_PMF", "-1"),
+    ("two-user", "BIT_PMF", "-1/2:1:1/2"),
+    ("two-user", "BIT_PMF", "1e400"),
+])
+def test_bad_grid_rejected_before_any_work(capsys, write_source, monkeypatch, command, source,
+                                           grid):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the grid is checked before any work starts")
+
+    monkeypatch.setattr(skalc.capacity, "lower_bound_curve", no_work)
+    monkeypatch.setattr(skalc.two_user, "run_sweep", no_work)
+    path = write_source(getattr(_sources, source))
+    code, out, err = run_cli(capsys, command, path, f"--grid={grid}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_two_user_csv_and_witness(capsys, write_source, tmp_path):
