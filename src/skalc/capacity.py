@@ -391,7 +391,15 @@ def sandwich(
         lower = max(lb.curve.value_at(alpha), min(alpha, jgk))
         upper = min(alpha, cap)
         if cs_upper is not None:
-            upper = min(upper, duality_upper_bound(cs_upper, cap, alpha))
+            bound = duality_upper_bound(cs_upper, cap, alpha)
+            exact = isinstance(lower, Fraction) and isinstance(bound, Fraction)
+            if bound - lower < (0 if exact else -1e-9):
+                # The supplied curve is the only input that can put the upper
+                # bound below a lower bound the library proved.
+                raise ValidationError(
+                    f"the cs_upper curve is not an upper bound: at alpha={alpha} it "
+                    f"bounds the key rate by {bound}, below the lower bound {lower}")
+            upper = min(upper, bound)
         exact = isinstance(lower, Fraction) and isinstance(upper, Fraction)
         gap = upper - lower
         if gap < (0 if exact else -1e-9):

@@ -219,9 +219,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValidationError, so it exits 2 with an
+    ``error:`` line like every other invalid input; subcommand parsers share
+    the class."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="skalc",
-                                     description="secret-key rates for correlated sources")
+    parser = _Parser(prog="skalc", description="secret-key rates for correlated sources")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mmi", help="multivariate interaction and finest optimal partition")
@@ -273,8 +281,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,6 +31,10 @@ in ``skalc.two_user`` must reach curve values no lower than it does, less
 a small tolerance.  ``pick_witness`` is the per-channel witness loop that
 a masked argmax replaced; both must pick the same channel.
 
+``two_point_mixtures`` is the dense-grid reference for the exact two-user
+sweep of a binary Z1: the envelopes of every two-point mixture of
+posteriors on a grid, with ``majorant_value`` to read a curve off them.
+
 ``BruteForceReference`` is the quantized reference for the two-user one-way
 curves.
 
@@ -50,6 +54,8 @@ one bucket of a kept one, so the envelope is exact to ~2.5e-4.
 
 from __future__ import annotations
 
+import bisect
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -236,6 +242,55 @@ class BruteForceReference:
             self.constrained.update(np.maximum(ix - iy, 0.0), iy)
         self.compressed.finish()
         self.constrained.finish()
+
+
+def two_point_mixtures(pmat, grid: int = 2049, rows: int = 32):
+    """Vertices of the compressed and constrained envelopes of every
+    two-point mixture of posteriors on a grid, with i_x and i_y in bits.
+
+    For a binary Z1 with P(Z1 = 0) = p0, a summary is a mixture of
+    posteriors q = P(Z1 = 0 | T) with mean p0, and two posteriors a <= p0 <= b
+    suffice.  The posteriors run over a cosine grid on [0, 1] with p0
+    added; every pair is scored, ``rows`` left posteriors at a time, and
+    only each batch's envelope vertices are kept.
+    """
+    pmat = np.asarray(pmat, dtype=float)
+    if pmat.shape[0] != 2:
+        raise ValueError("reference expects exactly two input symbols")
+    px = pmat.sum(axis=1)
+    p0 = px[0] / px.sum()
+    cond = pmat / px[:, None]
+    q = np.union1d((1 - np.cos(np.linspace(0.0, np.pi, grid))) / 2, [p0])
+    hq = -_nplogp(np.stack([q, 1 - q], axis=1), axis=1)
+    hy = -_nplogp(q[:, None] * cond[0] + (1 - q)[:, None] * cond[1], axis=1)
+    mid = int(np.searchsorted(q, p0))
+    b = q[None, mid:]
+    kept = ([], [])
+    for start in range(0, mid + 1, rows):
+        a = q[start:min(start + rows, mid + 1), None]
+        w = np.where(b > a, (b - p0) / np.where(b > a, b - a, 1.0), 1.0)
+        sl = slice(start, start + len(a))
+        ix = hq[mid] - w * hq[sl, None] - (1 - w) * hq[None, mid:]
+        iy = hy[mid] - w * hy[sl, None] - (1 - w) * hy[None, mid:]
+        ix, iy = np.maximum(ix, 0.0).ravel(), np.maximum(iy, 0.0).ravel()
+        # i_x = i_y, as when T reveals a part of Z1 that Z2 determines, comes
+        # out a few ulps apart: such a rate is 0.
+        rate = np.where(ix - iy > 1e-12, ix - iy, 0.0)
+        for out, xs in zip(kept, (ix, rate)):
+            order = np.lexsort((-iy, xs))
+            xs, ys = xs[order], iy[order]
+            top = ys > np.maximum.accumulate(np.concatenate(([-1.0], ys[:-1])))
+            out.extend(_concave_majorant(list(zip(xs[top].tolist(), ys[top].tolist()))))
+    return tuple(_concave_majorant([(0.0, 0.0), *pts]) for pts in kept)
+
+
+def majorant_value(pts, x: float) -> float:
+    """Value at x >= 0 of the curve through majorant vertices ``pts``."""
+    k = bisect.bisect_right(pts, (x, math.inf))
+    if k == len(pts):
+        return pts[-1][1]
+    (x1, y1), (x2, y2) = pts[k - 1], pts[k]
+    return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
 
 def iter_rgs(n: int) -> Iterator[tuple[int, ...]]:

@@ -357,9 +357,14 @@ def test_sandwich_cap_is_bell_mmi():
         assert res.inferred_alpha_s == lower_bound_curve(src).curve.saturation_x()
 
 
-def test_sandwich_crossed_bounds_detected(example1):
-    with pytest.raises(InternalCheckError):
+def test_sandwich_crossed_bounds_detected(example1, monkeypatch):
+    # A supplied upper curve below the proved lower bound is bad input; a
+    # crossing of the library's own bounds is a bug.
+    with pytest.raises(ValidationError, match="cs_upper curve"):
         sandwich(example1, [F(1)], cs_upper=constant_curve(F(0)))
+    monkeypatch.setattr(capacity, "gacs_korner", lambda source: F(100))
+    with pytest.raises(InternalCheckError):
+        sandwich(example1, [F(3)])
 
 
 def test_sandwich_rejects_bad_grid(example1, monkeypatch):

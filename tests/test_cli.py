@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,46 @@ def test_two_user_csv_and_witness(capsys, write_source, tmp_path):
     assert wit.read_bytes() == first_bytes
 
 
+def test_two_user_witness_mutual_info_of_an_independent_pair_is_zero(capsys, write_source,
+                                                                    tmp_path):
+    # Summed in floats, H(Z1) + H(Z2) - H(Z1, Z2) of this pair is 2.2e-16.
+    pair = {"kind": "pmf", "users": ["1", "2"], "alphabets": [2, 2],
+            "table": [[x, y, (0.3 if x == 0 else 0.7) * (0.3 if y == 0 else 0.7)]
+                      for x in (0, 1) for y in (0, 1)]}
+    wit = tmp_path / "witness.json"
+    code, _, _ = run_cli(capsys, "two-user", write_source(pair), "--grid", "0:1:1",
+                         "--emit-witness", str(wit))
+    assert code == 0
+    assert json.loads(wit.read_text(encoding="utf-8"))["mutual_info"] == "0"
+
+
+def _ib_sources():
+    """The |Z1| >= 3 pmfs whose two-user stdout is pinned, by name."""
+    from test_two_user import _criterion_6_pmfs
+
+    sources = {"intro": _sources.INTRO_PMF}
+    for k, p in enumerate(_criterion_6_pmfs()[2:]):
+        sources[f"random-{k}"] = {"kind": "pmf", "users": ["1", "2"],
+                                  "alphabets": list(p.alphabets),
+                                  "table": [[*o, prob] for o, prob in zip(p.outcomes, p.probs)]}
+    return sources
+
+
+def test_two_user_stdout_of_larger_alphabets_is_pinned(capsys, write_source):
+    # The alternating maximization still serves |Z1| >= 3: its stdout is the
+    # one recorded before binary inputs got their own sweep.
+    pinned = json.loads((Path(__file__).parent / "two_user_ib_stdout.json").read_text(
+        encoding="utf-8"))
+    sources = _ib_sources()
+    assert len(pinned) == 4 * len(sources)
+    for case, expected in pinned.items():
+        name, mode, seed = case.split("/")
+        code, out, _ = run_cli(capsys, "two-user", write_source(sources[name]), "--mode", mode,
+                               "--grid", "0:2:1/4", "--seed", seed)
+        assert code == 0
+        assert out == expected, case
+
+
 def test_two_user_constrained_mode(capsys, write_source):
     path = write_source(_sources.BIT_PMF)
     code, out, _ = run_cli(capsys, "two-user", path, "--mode", "constrained",
@@ -156,6 +197,30 @@ def test_two_user_constrained_mode(capsys, write_source):
     assert code == 0
     for line in out.strip().splitlines()[1:]:
         assert abs(float(line.split(",")[1]) - 1.0) <= 1e-6
+
+
+def test_upper_curve_below_the_lower_bound_is_an_input_error(capsys, write_source, tmp_path):
+    path = write_source(_sources.EXAMPLE1)
+    curve = tmp_path / "upper.json"
+    curve.write_text(json.dumps([["0", "0"], ["1", "1"], ["3", "3/2"]]), encoding="utf-8")
+    code, out, err = run_cli(capsys, "sandwich", path, "--grid", "0:4:1/4",
+                             "--cs-upper", str(curve))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cs_upper curve" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sandwich", "{src}", "--grid", "-1:2:1"],
+    ["sandwich", "{src}"],
+    ["sandwich", "{src}", "--grid", "0:1:1", "--bogus"],
+    ["frobnicate", "{src}"],
+    [],
+])
+def test_usage_errors_exit_2_with_an_error_line(capsys, write_source, argv):
+    path = write_source(_sources.EXAMPLE1)
+    code, out, err = run_cli(capsys, *[a.format(src=path) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "usage:" not in err
 
 
 # A NaN probability and NaN curve coordinates: Python's json reads NaN.

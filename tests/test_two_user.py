@@ -227,6 +227,33 @@ def _channel_pmfs():
             for channel in ("symmetric", "erasure", "z") * 4]
 
 
+def _ib_pmfs():
+    """Pmfs with |Z1| >= 3, the inputs that take the alternating maximization."""
+    return ([p for p in _criterion_6_pmfs() if p.alphabets[0] >= 3]
+            + [parse_source(_sources.HALF_PMF)])
+
+
+def _table_pmf(rows):
+    total = sum(map(sum, rows))
+    return parse_source({"kind": "pmf", "users": ["1", "2"], "alphabets": [2, len(rows[0])],
+                         "table": [[x, y, v / total] for x, row in enumerate(rows)
+                                   for y, v in enumerate(row) if v]})
+
+
+def _binary_pmfs():
+    """Z channels, an erasure channel, seeded random 2 x k tables, and two
+    tables that once tripped the sweep: at one ladder multiplier a grid too
+    coarse for a narrow dip made the constant map look optimal, and a pair
+    where Z2 determines Z1 scored i_x - i_y of T = Z1 at +1e-16, so the
+    constrained curve read 0 at R = 0."""
+    rng = random.Random(7)
+    return ([parse_source(_sources.binary_channel_pmf(rng, channel))
+             for channel in ("z", "z", "erasure")]
+            + [_random_pmf(rng, 2, ny) for ny in (2, 3, 4)]
+            + [_table_pmf([[0, 76, 62, 84], [68, 25, 5, 33]]),
+               _table_pmf([[2, 0, 1], [0, 7, 0]])])
+
+
 SWEEP_GRID = [k / 8 for k in range(17)]
 
 
@@ -234,7 +261,7 @@ SWEEP_GRID = [k / 8 for k in range(17)]
 def frozen_and_oracle_sweeps():
     """(pmf, seed, sweep, sweep with the run-to-the-slowest oracle loop)."""
     out = []
-    for seed, p in enumerate(_criterion_6_pmfs() + _channel_pmfs()):
+    for seed, p in enumerate(_ib_pmfs()):
         frozen = run_sweep(p, seed=seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(two_user, "_ib_batch", _oracle.ib_batch)
@@ -263,10 +290,16 @@ def test_sweep_channels_repeat_for_a_seed(frozen_and_oracle_sweeps):
         assert again.seed == frozen.seed == seed
 
 
+def test_binary_sweep_ignores_the_seed():
+    for p in _channel_pmfs()[:3]:
+        assert run_sweep(p, seed=0).channels == run_sweep(p, seed=9).channels
+
+
 def test_stored_scores_match_a_fresh_scoring(frozen_and_oracle_sweeps):
     # Each batch is scored once, when it is made; scoring the whole cloud
     # again gives the very same floats.
-    for p, _, sweep, _ in frozen_and_oracle_sweeps:
+    binary = [(p, run_sweep(p)) for p in _channel_pmfs()[:3]]
+    for p, sweep in [(p, sweep) for p, _, sweep, _ in frozen_and_oracle_sweeps] + binary:
         mat = pmf_matrix(p)
         px, py = mat.sum(axis=1), mat.sum(axis=0)
         pygx = np.where(px[:, None] > 0, mat / np.maximum(px, 1e-300)[:, None],
@@ -328,4 +361,28 @@ def test_compressed_curve_closed_forms(source, closed_form):
     alphas = [k / 10 for k in range(1, 10)]
     for pt in compressed_curve_one_sided(run_sweep(p), alphas):
         exact = closed_form(pt.x)
-        assert exact - 1e-3 <= pt.value <= exact + 1e-9
+        assert exact - 1e-6 <= pt.value <= exact + 1e-9
+
+
+def test_binary_sweep_never_runs_the_alternating_maximization(monkeypatch):
+    def no_ib(*args, **kwargs):
+        raise AssertionError("a binary Z1 takes the two-point-mixture sweep")
+
+    monkeypatch.setattr(two_user, "_ib_batch", no_ib)
+    for p in _binary_pmfs() + [parse_source(_sources.BIT_PMF),
+                               parse_source(_sources.INDEP_PMF)]:
+        sweep = run_sweep(p)
+        assert all(ch.converged and len(ch.matrix[0]) == 2 for ch in sweep.channels)
+
+
+@pytest.mark.parametrize("index", range(len(_binary_pmfs())))
+def test_binary_sweep_matches_two_point_mixtures(index):
+    # The oracle scores every mixture of two posteriors on a 2049-point grid;
+    # its envelopes are within about 3e-7 of the exact curves.
+    p = _binary_pmfs()[index]
+    sweep = run_sweep(p)
+    compressed, constrained = _oracle.two_point_mixtures(pmf_matrix(p))
+    for x in [k / 64 for k in range(129)]:
+        assert abs(sweep.compressed.value_at(x) - _oracle.majorant_value(compressed, x)) <= 1e-6
+        assert abs(sweep.constrained.value_at(x)
+                   - _oracle.majorant_value(constrained, x)) <= 1e-6

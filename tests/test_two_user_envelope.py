@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from skalc.curves import upper_concave_envelope
-from skalc.two_user import _envelope
+from skalc.source_model import parse_source
+from skalc.two_user import _envelope, run_sweep
+
+import _sources
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -52,7 +55,10 @@ def test_prefilter_keeps_the_envelope(cloud):
 
 
 def test_prefilter_keeps_sweep_envelopes(benchmark_two_user_sweeps):
-    for sweep in benchmark_two_user_sweeps:
+    # The benchmark's pmfs take the binary sweep; these two take the
+    # alternating maximization, whose cloud is mostly dominated points.
+    ib_sweeps = [run_sweep(parse_source(src)) for src in (_sources.INTRO_PMF, _sources.HALF_PMF)]
+    for sweep in benchmark_two_user_sweeps + ib_sweeps:
         ix = np.array([ch.info_x for ch in sweep.channels])
         iy = np.array([ch.info_y for ch in sweep.channels])
         for xs in (ix, np.maximum(ix - iy, 0.0)):
