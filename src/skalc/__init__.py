@@ -2,33 +2,11 @@
 omniscience rates, budgeted-capacity bounds, one-way two-user curves, and
 finite-blocklength linear schemes."""
 
-from .capacity import (
-    LowerBoundResult,
-    LowerBoundWitness,
-    PinCurves,
-    alpha_s_lower_bound,
-    duality_upper_bound,
-    gk_floor,
-    lower_bound_curve,
-    pin_curves,
-    sandwich,
-    witness_at,
-)
-from .curves import CapacityCurve, constant_curve, upper_concave_envelope
+import importlib
+
 from .errors import InternalCheckError, ResourceCapError, SkalcError, ValidationError
 from .mmi import MmiResult, mmi, pin_strength
 from .omniscience import RateVector, RcoResult, rco, unconstrained_capacity
-from .protocol_sim import (
-    BitSourceInstance,
-    LinearScheme,
-    RandomBinning,
-    TreePacking,
-    random_binning_omniscience,
-    scheme_from_json,
-    scheme_to_json,
-    tree_packing_scheme,
-    verify,
-)
 from .source_model import (
     EdgeRestriction,
     HypergraphicalSource,
@@ -41,26 +19,29 @@ from .source_model import (
     parse_source,
     restrict,
 )
-# two_user needs numpy; it is imported on first use of one of its names.
-_TWO_USER_NAMES = frozenset({
-    "ChannelWitness",
-    "DualityReport",
-    "SweepResult",
-    "compressed_curve_one_sided",
-    "constrained_curve_one_way",
-    "duality_check",
-    "min_sufficient_statistic",
-    "mutual_information",
-    "one_way_complexity",
-    "run_sweep",
-})
+
+# Imported on first use of one of their names: two_user needs numpy, and the
+# mmi and rco commands need none of these modules.
+_LAZY = {
+    **dict.fromkeys(("LowerBoundResult", "LowerBoundWitness", "PinCurves", "alpha_s_lower_bound",
+                     "duality_upper_bound", "gk_floor", "lower_bound_curve", "pin_curves",
+                     "sandwich", "witness_at"), "capacity"),
+    **dict.fromkeys(("CapacityCurve", "constant_curve", "upper_concave_envelope"), "curves"),
+    **dict.fromkeys(("BitSourceInstance", "LinearScheme", "RandomBinning", "TreePacking",
+                     "random_binning_omniscience", "scheme_from_json", "scheme_to_json",
+                     "tree_packing_scheme", "verify"), "protocol_sim"),
+    **dict.fromkeys(("ChannelWitness", "DualityReport", "SweepResult",
+                     "compressed_curve_one_sided", "constrained_curve_one_way", "duality_check",
+                     "min_sufficient_statistic", "mutual_information", "one_way_complexity",
+                     "run_sweep"), "two_user"),
+}
 
 
 def __getattr__(name):
-    if name in _TWO_USER_NAMES:
-        from . import two_user
-        return getattr(two_user, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
 
 
 __version__ = "0.1.0"

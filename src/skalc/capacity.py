@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 from .curves import CapacityCurve, upper_concave_envelope
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 from .lp import simplex_min
-from .mmi import _minimize_exact, iter_partitions, mmi
+from .mmi import _minimize_exact, iter_partitions, pin_strength
 from .source_model import (
     EdgeRestriction,
     HypergraphicalSource,
@@ -93,7 +93,7 @@ def pin_curves(source: HypergraphicalSource) -> PinCurves:
         raise ValidationError(
             "constrained curve is degenerate for two users; use the two_user module"
         )
-    cap = mmi(source).value
+    cap = pin_strength(source)
     alpha_s = (n - 1) * cap
     r_s = (n - 2) * cap
     zero = Fraction(0)

@@ -13,6 +13,9 @@ Exit codes: 0 success, 2 invalid input, 3 declined resource caps, 4 a failed
 internal self-check (always a bug).  All numeric output goes through one
 formatter (exact rationals as "p/q", floats to 12 significant digits) so a
 given (input, seed) pair produces byte-identical output.
+
+A command imports the capacity, curves, protocol_sim and two_user modules
+only when it uses them, so ``mmi`` and ``rco`` load none of them.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import capacity as cap_mod
-from . import protocol_sim
-from .curves import CapacityCurve
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 from .mmi import DEFAULT_USER_CAP, mmi
 from .omniscience import rco
@@ -58,7 +58,9 @@ def _parse_grid(text: str) -> list[Fraction]:
     return out
 
 
-def _load_curve(path: str) -> CapacityCurve:
+def _load_curve(path: str):
+    from .curves import CapacityCurve
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -116,6 +118,8 @@ def _cmd_rco(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    from . import capacity as cap_mod
+
     source = load_source(args.source)
     curves = cap_mod.pin_curves(source)
     _emit_json({
@@ -129,6 +133,8 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_sandwich(args) -> int:
+    from . import capacity as cap_mod
+
     source = load_source(args.source)
     grid = _parse_grid(args.grid)
     upper = _load_curve(args.cs_upper) if args.cs_upper else None
@@ -188,6 +194,8 @@ def _cmd_two_user(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import protocol_sim
+
     source = load_source(args.source)
     if args.scheme == "tree":
         built = protocol_sim.tree_packing_scheme(source, args.blocklength)

@@ -1,4 +1,4 @@
-"""Multivariate mutual information by partition search.
+"""Multivariate mutual information: the minimum over partitions.
 
 For a partition P of the user set into at least two blocks,
 
@@ -7,23 +7,28 @@ For a partition P of the user set into at least two blocks,
 and the multivariate mutual information is the minimum of I_P over all such
 partitions.  With two users this is the usual Shannon mutual information.
 The minimizers form a lattice whose bottom element, the finest optimal
-partition, refines every other minimizer; that structure is asserted here.
+partition P*, refines every other minimizer.
 
-``mmi`` scores every partition once.  Block entropies come from
-``source_model.entropy_table``, one entry per user set; for hypergraphical
-sources its entries are ints over the source's weight denominator, so each
-score is a pair of Python ints compared by cross-multiplication.  The
-enumeration is still Bell-number sized, so the user count is capped
-(default 8, hard maximum 12).
+Hypergraphical sources take a polynomial route, the principal partition
+(Narayanan 1991; Chan et al., "Info-clustering", 2015/2016).  Newton
+(Dinkelbach) steps on the ratio each solve a Dilworth truncation with one
+integer min-cut per user (Cunningham 1985, "Optimal attack and
+reinforcement of a network", extended to hyperedges with Lawler gadget
+nodes), and the inclusion-smallest cuts give P*.  The ``minimizers`` that
+``mmi`` counts are then found among the Bell(|P*|) coarsenings of P* alone.
+Scores are pairs of Python ints over the source's weight denominator,
+compared by cross-multiplication.
+
+Pmf sources score every partition once, with block entropies from
+``source_model.entropy_table``, and there the finest minimizer is checked
+to refine every other.  Both routes keep the user cap (default 8, hard
+maximum 12).
 
 ``pin_strength`` serves pairwise sources, where every edge joins two users
 and mmi is the graph strength min_P c(dP) / (|P| - 1): the weight of the
-edges crossing P over the block count less one.  It runs in polynomial time
-with no user cap: Newton (Dinkelbach) steps on the ratio, each an attack
-problem solved as a Dilworth truncation with one integer min-cut per user
-(Cunningham 1985, "Optimal attack and reinforcement of a network").  By
-Nash-Williams and Tutte, the n-fold graph packs floor(n * strength)
-edge-disjoint spanning trees.
+edges crossing P over the block count less one.  It is the same Newton
+value with no user cap.  By Nash-Williams and Tutte, the n-fold graph packs
+floor(n * strength) edge-disjoint spanning trees.
 """
 
 from __future__ import annotations
@@ -34,7 +39,14 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalCheckError, ResourceCapError, ValidationError
-from .source_model import HypergraphicalSource, SourceSpec, entropy, entropy_table, is_pin
+from .source_model import (
+    HypergraphicalSource,
+    SourceSpec,
+    _hypergraph_table,
+    entropy,
+    entropy_table,
+    is_pin,
+)
 
 __all__ = [
     "Partition",
@@ -135,19 +147,23 @@ def mmi(source: SourceSpec, cap: int = DEFAULT_USER_CAP) -> MmiResult:
     """Minimize I_P over all partitions with at least two blocks.
 
     Exact rational arithmetic for hypergraphical sources; floats with a 1e-9
-    tie tolerance for pmfs.  Raises ResourceCapError when the user count
-    exceeds ``cap`` (hard maximum 12: the enumeration is Bell-number sized).
+    tie tolerance for pmfs.  ``minimizers`` come in the restricted-growth
+    order of ``iter_partitions``.  Raises ResourceCapError when the user
+    count exceeds ``cap`` (hard maximum 12: the pmf enumeration is
+    Bell-number sized).
     """
     if cap > HARD_USER_CAP:
         raise ValidationError(f"cap {cap} exceeds hard maximum {HARD_USER_CAP}")
     n = len(source.users)
     if n > cap:
         raise ResourceCapError(f"{n} users exceed partition enumeration cap {cap}")
-    h = entropy_table(source)
     if isinstance(source, HypergraphicalSource):
-        value, minimizer_masks = _minimize_exact(h, iter_partitions(n), source.denominator)
-    else:
-        value, minimizer_masks = _minimize_float(h, n)
+        p, q, blocks = _principal_partition(source)
+        found = _coarsenings(source, blocks, p, q)
+        minimizers = tuple(_canonical_partition(source, m) for m in found)
+        finest = _canonical_partition(source, blocks)
+        return MmiResult(Fraction(p, q * source.denominator), finest, minimizers)
+    value, minimizer_masks = _minimize_float(entropy_table(source), n)
     minimizers = tuple(_canonical_partition(source, m) for m in minimizer_masks)
     finest = max(minimizers, key=lambda p: (len(p), [sorted(b) for b in p]))
     for other in minimizers:
@@ -157,6 +173,34 @@ def mmi(source: SourceSpec, cap: int = DEFAULT_USER_CAP) -> MmiResult:
                 f"finest={finest} other={other}"
             )
     return MmiResult(value, finest, minimizers)
+
+
+def _coarsenings(
+    source: HypergraphicalSource, blocks: list[int], p: int, q: int
+) -> list[tuple[int, ...]]:
+    """The coarsenings of P* (block masks ``blocks``) whose I_P is the Newton
+    value p / (q * D), as user masks in the order of ``iter_partitions(n)``.
+
+    Every mmi minimizer coarsens P*, so Bell(|P*|) partitions are scored.
+    Block entropies come from the entropy table of the source with each
+    block of P* contracted to one user.  I_{P*} must equal the Newton value
+    and no coarsening may score below it; either failure is a fault of the
+    Newton steps.
+    """
+    # With P*'s blocks numbered by their lowest user, the restricted-growth
+    # labels of the blocks order the coarsenings as the labels of the users do.
+    blocks = sorted(blocks, key=lambda b: b & -b)
+    k = len(blocks)
+    contracted = [sum(1 << j for j, b in enumerate(blocks) if b & m) for m in source.edge_masks()]
+    h = _hypergraph_table(k, contracted, source.int_weights)
+    if (sum(h[1 << j] for j in range(k)) - h[-1]) * q != p * (k - 1):
+        raise InternalCheckError(
+            f"I_P of the finest minimizer differs from the Newton value {p}/{q}")
+    best, found = _minimize_exact(h, iter_partitions(k), 1)
+    if best < Fraction(p, q):
+        raise InternalCheckError(f"a coarsening of the finest minimizer scores below {p}/{q}")
+    return [tuple(sum(b for j, b in enumerate(blocks) if c >> j & 1) for c in coarse)
+            for coarse in found]
 
 
 def _minimize_exact(
@@ -213,77 +257,105 @@ def pin_strength(source: HypergraphicalSource) -> Fraction:
     """Graph strength min_P c(dP) / (|P| - 1) of a pairwise source.
 
     Equals ``mmi(source).value`` for a pairwise source, and is 0 exactly when
-    the graph is disconnected.  Newton steps on lambda = p / q start from the
-    all-singletons ratio c(E) / (n - 1).  Each step finds a partition that
-    minimizes c(dP) - lambda * (|P| - 1); if that beats lambda, its ratio is
-    the next lambda.  The source's integer weights over its denominator
-    make every step exact integer arithmetic.
+    the graph is disconnected.  It is the Newton value of the principal
+    partition, with no user cap and no partition enumeration.
     """
     if not isinstance(source, HypergraphicalSource) or not is_pin(source):
         raise ValidationError("pin_strength needs a source with all edges on exactly two users")
-    n = len(source.users)
-    adj = [[0] * n for _ in range(n)]
-    for (u, v), c in zip(source.incidence, source.int_weights):
-        adj[u][v] += c
-        adj[v][u] += c
-    p, q = sum(map(sum, adj)) // 2, n - 1
-    while p:
-        blocks = _attack(adj, p, q)
-        if len(blocks) < 2:
-            break
-        p2, q2 = _crossing_weight(adj, blocks), len(blocks) - 1
-        if p2 * q >= p * q2:
-            break
-        p, q = p2, q2
+    p, q, _ = _principal_partition(source)
     return Fraction(p, q * source.denominator)
 
 
-def _crossing_weight(adj: list[list[int]], blocks: list[list[int]]) -> int:
-    label = [0] * len(adj)
-    for j, block in enumerate(blocks):
-        for u in block:
-            label[u] = j
-    return sum(c for u, row in enumerate(adj) for v, c in enumerate(row[:u]) if label[u] != label[v])
+def _principal_partition(source: HypergraphicalSource) -> tuple[int, int, list[int]]:
+    """(p, q, blocks): mmi is p / (q * D) and ``blocks`` are the user masks of
+    the finest minimizer P*.
 
-
-def _attack(adj: list[list[int]], p: int, q: int) -> list[list[int]]:
-    """A partition minimizing q * c(dP) - p * (|P| - 1).
-
-    That is half the sum over blocks of f(B) = q * c(dB) - 2p, plus p, so
-    this is the Dilworth truncation of the submodular f.  Users join in index
-    order.  User v merges with the set X of current blocks that minimizes
-    f({v} + X) - sum of f(B) over X, which is q * c(d({v} + X)) plus, for
-    each B in X, the modular term 2p - q * c(dB): one s-t min-cut with source
-    v, a node per block, and the users not yet placed merged into the sink.
+    Newton (Dinkelbach) steps on lambda = p / q start from the all-singletons
+    ratio.  Each step takes the finest partition P minimizing
+    q * (sum of h(B) over P - h(V)) - p * (|P| - 1); if its ratio beats
+    lambda, that ratio is the next lambda.  At the optimum the single block
+    and the mmi minimizers tie at 0, and the finest of them is P*.
     """
-    n = len(adj)
-    blocks: list[list[int]] = []
+    n = len(source.users)
+    edges = [(m, [i for i in range(n) if m >> i & 1], w)
+             for m, w in zip(source.edge_masks(), source.int_weights)]
+    p, q = sum(w * (len(users) - 1) for _, users, w in edges), n - 1
+    while True:
+        blocks = _finest_minimizer(n, edges, p, q)
+        if len(blocks) < 2:
+            raise InternalCheckError(f"Newton step at {p}/{q} found no split of the users")
+        p2 = sum(w * (sum(1 for b in blocks if b & m) - 1) for m, _, w in edges)
+        q2 = len(blocks) - 1
+        if p2 * q >= p * q2:
+            return p, q, blocks
+        p, q = p2, q2
+
+
+def _finest_minimizer(n: int, edges: list[tuple[int, list[int], int]], p: int, q: int) -> list[int]:
+    """Block masks of the finest partition minimizing the sum over its blocks
+    of g(B) = q * h(B) - p, with h(B) the weight of the edges touching B.
+
+    This is the Dilworth truncation of the submodular g.  Users join in index
+    order.  User v merges with the set X of current blocks that minimizes
+    g({v} + X) - sum of g(B) over X.  Up to a constant that is, for each B
+    in X, the modular term p - q * h(B), plus q * w for each edge e that
+    misses v and touches a block of X.  One s-t min-cut with source v and a
+    node per block solves it:
+    - an edge touching one block adds q * w to that block's sink arc;
+    - an edge touching blocks A < B adds q * w to B's sink arc and an arc
+      A -> B, since [A or B in X] = [B in X] + [A in X, B not];
+    - the edges touching the same three or more blocks share one Lawler
+      gadget node: an arc from each of those blocks into it, and one out to
+      the sink, each of their total q * w.
+    The inclusion-smallest source side merges the fewest blocks, so the
+    final partition is the finest minimizer.
+    """
+    blocks: list[int] = []
+    label = [0] * n  # node of each placed user's block
     for v in range(n):
         k = len(blocks)
-        sink = k + 1
-        # per block, the weight to each user
-        bw = [[sum(col) for col in zip(*(adj[u] for u in block))] for block in blocks]
-        cap = [[0] * (k + 2) for _ in range(k + 2)]
-        for j, (block, row) in enumerate(zip(blocks, bw), start=1):
-            cap[0][j] = q * row[v]
-            for i, other in enumerate(blocks, start=1):
-                if i != j:
-                    cap[j][i] = q * sum(row[u] for u in other)
-            cap[j][sink] = q * sum(row[v + 1:])
-            modular = 2 * p - q * (sum(row) - sum(row[u] for u in block))
+        h = [0] * (k + 1)
+        # q * weight of the edges that miss v, by the blocks they touch
+        touching: dict[tuple[int, ...], int] = {}
+        for emask, users, w in edges:
+            touched = tuple(sorted({label[u] for u in users if u < v}))
+            for j in touched:
+                h[j] += w
+            if touched and not emask >> v & 1:
+                touching[touched] = touching.get(touched, 0) + q * w
+        gadget = k + 1
+        sink = gadget + sum(len(touched) > 2 for touched in touching)
+        cap = [[0] * (sink + 1) for _ in range(sink + 1)]
+        for j in range(1, k + 1):
+            modular = p - q * h[j]
             if modular > 0:
-                cap[j][sink] += modular
+                cap[j][sink] = modular
             else:
-                cap[0][j] -= modular
+                cap[0][j] = -modular
+        for touched, c in touching.items():
+            if len(touched) > 2:
+                for j in touched:
+                    cap[j][gadget] = c
+                cap[gadget][sink] = c
+                gadget += 1
+            else:
+                cap[touched[-1]][sink] += c
+                if len(touched) == 2:
+                    cap[touched[0]][touched[1]] = c
         side = _source_side(cap)
-        merged = [v]
+        merged = 1 << v
         rest = []
         for j, block in enumerate(blocks, start=1):
             if side[j]:
-                merged.extend(block)
+                merged |= block
             else:
                 rest.append(block)
         blocks = rest + [merged]
+        for j, block in enumerate(blocks, start=1):
+            while block:
+                low = block & -block
+                label[low.bit_length() - 1] = j
+                block ^= low
     return blocks
 
 

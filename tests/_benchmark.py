@@ -24,12 +24,13 @@ def _workloads():
     return sys.modules[_NAME]
 
 
-def benchmark_jobs(name: str, cycles: int | None = None) -> list:
-    """The jobs of workload ``name`` at the benchmark's default seed: the
-    whole pool, or the groups of its first ``cycles`` template cycles."""
+def benchmark_jobs(name: str, cycles: int | None = None, seed: int | None = None) -> list:
+    """The jobs of workload ``name`` at ``seed`` (by default the benchmark's
+    default seed): the whole pool, or the groups of its first ``cycles``
+    template cycles."""
     workloads = _workloads()
     workload = workloads.WORKLOADS[name]
-    jobs = workloads.make_jobs(workload, workloads.DEFAULT_SEED)
+    jobs = workloads.make_jobs(workload, workloads.DEFAULT_SEED if seed is None else seed)
     if cycles is not None:
         jobs = [job for job in jobs if job.group < cycles * workload.cycle]
     return jobs

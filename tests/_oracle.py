@@ -4,6 +4,8 @@
 ``skalc.mmi.mmi`` replaced, kept unchanged together with its enumerator of
 restricted growth strings and ``_block_entropy``, its per-mask ``Fraction``
 entropy that ``source_model.entropy_table`` replaced.
+``mmi_bell`` is the one-pass integer Bell scan that the hypergraph branch
+of ``skalc.mmi.mmi`` ran before its Newton engine.
 
 ``simplex_min`` is the ``Fraction`` tableau simplex that the integer
 ``skalc.lp.simplex_min`` replaced, kept unchanged; the integer version must
@@ -70,10 +72,12 @@ from skalc.mmi import (
     HARD_USER_CAP,
     MmiResult,
     _canonical_partition,
+    _minimize_exact,
     _refines,
+    iter_partitions,
 )
 from skalc.protocol_sim import VerificationReport, _partition_into_forests, validate_scheme
-from skalc.source_model import HypergraphicalSource, SourceSpec, entropy
+from skalc.source_model import HypergraphicalSource, SourceSpec, entropy, entropy_table
 from skalc.two_user import FEAS_SLACK, MAX_ITERS, OBJ_TOL, _channel_scores, _marginals
 
 _BUCKETS_PER_UNIT = 4096
@@ -386,6 +390,17 @@ def mmi_two_pass(source: SourceSpec, cap: int = DEFAULT_USER_CAP) -> MmiResult:
                 f"finest={finest} other={other}"
             )
     return MmiResult(best, finest, minimizers)
+
+
+def mmi_bell(source: HypergraphicalSource) -> MmiResult:
+    """The one-pass integer scan of all Bell(n) partitions that ``mmi`` ran
+    on hypergraph sources before the Newton engine, kept unchanged; about
+    20 times faster than ``mmi_two_pass`` at 9 users."""
+    h = entropy_table(source)
+    value, found = _minimize_exact(h, iter_partitions(len(source.users)), source.denominator)
+    minimizers = tuple(_canonical_partition(source, m) for m in found)
+    finest = max(minimizers, key=lambda p: (len(p), [sorted(b) for b in p]))
+    return MmiResult(value, finest, minimizers)
 
 
 def simplex_min(

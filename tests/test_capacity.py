@@ -65,6 +65,30 @@ def test_pin_curves_disconnected_flat():
     assert curves.alpha_s == F(0)
 
 
+def _ring(n, w):
+    return parse_source(_sources.hg([str(i) for i in range(n)],
+                                    [(f"e{i}", [str(i), str((i + 1) % n)], w) for i in range(n)]))
+
+
+def _clique(n, w):
+    return parse_source(_sources.hg([str(i) for i in range(n)],
+                                    [(f"e{i}-{j}", [str(i), str(j)], w)
+                                     for i in range(n) for j in range(i + 1, n)]))
+
+
+@pytest.mark.parametrize("n", [9, 30])
+def test_pin_curves_past_the_mmi_user_cap(n):
+    # Closed forms: a ring of weight-w edges has strength n w / (n - 1), its
+    # singletons' ratio, and a clique of them n w / 2.  The curves are
+    # min(alpha / (n - 1), cap) and min(R / (n - 2), cap).
+    for src, cap in ((_ring(n, F(1, 2)), F(n, 2 * (n - 1))), (_clique(n, F(3)), F(3 * n, 2))):
+        curves = pin_curves(src)
+        assert curves.cap == cap
+        assert curves.alpha_s == (n - 1) * cap and curves.r_s == (n - 2) * cap
+        assert curves.compressed.points == ((F(0), F(0)), ((n - 1) * cap, cap))
+        assert curves.constrained.points == ((F(0), F(0)), ((n - 2) * cap, cap))
+
+
 def test_lower_bound_example1(example1):
     res = lower_bound_curve(example1)
     assert res.curve.points == ((F(0), F(0)), (F(1), F(1)), (F(3), F(2)))

@@ -69,6 +69,18 @@ def test_capacity_json(capsys, write_source):
     assert data["constrained"] == [["0", "0"], ["3/2", "3/2"]]
 
 
+def test_capacity_serves_pairwise_sources_past_eight_users(capsys, write_source):
+    # A 9-user ring of unit edges: strength 9/8, no longer declined by the
+    # partition enumeration's user cap.
+    ring = _sources.hg([str(i) for i in range(9)],
+                       [(f"e{i}", [str(i), str((i + 1) % 9)], 1) for i in range(9)])
+    code, out, err = run_cli(capsys, "capacity", write_source(ring))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"cap": "9/8", "alpha_s": "9", "r_s": "63/8",
+                               "compressed": [["0", "0"], ["9", "9/8"]],
+                               "constrained": [["0", "0"], ["63/8", "9/8"]]}
+
+
 def test_capacity_rejects_non_pin(capsys, write_source):
     path = write_source(_sources.EXAMPLE1)
     code, out, err = run_cli(capsys, "capacity", path)
@@ -368,6 +380,23 @@ def test_module_entry_point(write_source):
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["mmi"] == "3/2"
+
+
+@pytest.mark.parametrize("command", ["mmi", "rco"])
+def test_mmi_and_rco_load_only_their_layers(write_source, command):
+    path = write_source(_sources.TRIANGLE)
+    script = (
+        "import sys, skalc.cli\n"
+        "assert skalc.cli.main([sys.argv[1], sys.argv[2]]) == 0\n"
+        "loaded = {'skalc.capacity', 'skalc.curves', 'skalc.protocol_sim', 'skalc.two_user'}\n"
+        "assert not loaded & set(sys.modules), sorted(loaded & set(sys.modules))\n"
+        "import skalc\n"
+        "assert callable(skalc.pin_curves) and callable(skalc.tree_packing_scheme)\n"
+        "assert {'skalc.capacity', 'skalc.protocol_sim'} <= set(sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, command, path], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_numpy_loaded_only_for_two_user(write_source):

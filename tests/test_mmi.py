@@ -1,10 +1,14 @@
+import importlib
 import itertools
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from skalc.errors import ResourceCapError, ValidationError
+from skalc.cli import main
+from skalc.errors import InternalCheckError, ResourceCapError, ValidationError
 from skalc.mmi import (
     DEFAULT_USER_CAP,
     HARD_USER_CAP,
@@ -17,6 +21,11 @@ from skalc.source_model import HypergraphicalSource, entropy, parse_source, rest
 
 import _oracle
 import _sources
+from _benchmark import benchmark_jobs
+
+# The package's ``mmi`` attribute is the function, so the module comes from
+# the import system.
+mmi_mod = importlib.import_module("skalc.mmi")
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -190,3 +199,153 @@ def test_pin_strength_fixtures_and_rejects(triangle, star, path3, example1, intr
     for bad in (example1, intro_pmf):
         with pytest.raises(ValidationError):
             pin_strength(bad)
+
+
+# --------------------------------------------------- Newton engine --
+
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
+
+
+def _components(src):
+    """Number of connected components, each edge joining all its users."""
+    parent = list(range(len(src.users)))
+
+    def find(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    for inc in src.incidence:
+        first, *rest = inc
+        for u in rest:
+            parent[find(u)] = find(first)
+    return len({find(u) for u in range(len(src.users))})
+
+
+@st.composite
+def hypergraph_sources(draw):
+    """Hypergraphs on 2-8 users with rational weights and parallel edges.
+    Users fall into up to three groups that no edge joins, so sources may be
+    disconnected; single-user edges and isolated users occur.  Half the
+    sources get a path through each group.  Weights come
+    from a small set, so ties and with them many minimizers are common."""
+    n = draw(st.integers(2, 8))
+    groups = draw(st.sampled_from([1, 1, 2, 3]))
+    group = draw(st.lists(st.integers(0, groups - 1), min_size=n, max_size=n))
+    weight = st.sampled_from([F(1), F(1), F(2), F(1, 2), F(3, 2), F(5, 3)])
+    raw = draw(st.lists(st.tuples(st.integers(0, groups - 1),
+                                  st.sets(st.integers(0, n - 1), min_size=1), weight,
+                                  st.booleans()),
+                        max_size=12))
+    if draw(st.booleans()):
+        # a path through each group's users, so that each group is connected
+        for g in range(groups):
+            members = [u for u in range(n) if group[u] == g]
+            raw += [(g, {u, v}, draw(weight), False) for u, v in zip(members, members[1:])]
+    incidence, weights = [], []
+    for g, on, w, parallel in raw:
+        on = frozenset(u for u in on if group[u] == g)
+        if on:
+            incidence += [on] * (1 + parallel)
+            weights += [w] * (1 + parallel)
+    return HypergraphicalSource(
+        tuple(str(i) for i in range(n)),
+        tuple(f"e{k}" for k in range(len(incidence))),
+        tuple(incidence),
+        tuple(weights),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(src=hypergraph_sources())
+def test_engine_matches_two_pass_oracle(src):
+    _assert_matches_oracle(src)
+    c = _components(src)
+    if c > 1:
+        result = mmi(src)
+        assert result.value == 0
+        assert len(result.minimizers) == BELL[c] - 1
+
+
+def test_engine_on_disconnected_and_tied_sources():
+    # Three components: 0, and Bell(3) - 1 = 4 minimizers, the coarsenings
+    # of {01 | 23 | 4} with two or more blocks.
+    split = parse_source(_sources.hg("01234", [("a", "01", 1), ("b", "23", F(1, 2)),
+                                               ("c", "4", 3), ("d", "01", 1)]))
+    result = mmi(split)
+    assert result.value == 0 and len(result.minimizers) == 4
+    assert _blocks(result.finest) == [["0", "1"], ["2", "3"], ["4"]]
+    _assert_matches_oracle(split)
+    # One edge on all of 6 users ties every partition: Bell(6) - 1 minimizers.
+    full = parse_source(_sources.hg("012345", [("a", "012345", 2)]))
+    assert len(mmi(full).minimizers) == BELL[6] - 1
+    _assert_matches_oracle(full)
+
+
+def _pool_sources(seed=None):
+    return [(job.group, parse_source(job.source))
+            for job in benchmark_jobs("exact-partition", seed=seed) if job.kind == "mmi"]
+
+
+def test_engine_matches_bell_scan_on_the_benchmark_pool():
+    sources = _pool_sources()
+    assert {len(src.users) for _, src in sources} == {8, 9}
+    for _, src in sources:
+        got, want = mmi(src, cap=9), _oracle.mmi_bell(src)
+        assert (got.value, got.finest, got.minimizers) == (want.value, want.finest, want.minimizers)
+
+
+def test_mmi_enumerates_only_coarsenings_of_the_finest(monkeypatch):
+    sizes = []
+    enumerate_ = mmi_mod.iter_partitions
+
+    def counted(k):
+        sizes.append(k)
+        return enumerate_(k)
+
+    monkeypatch.setattr(mmi_mod, "iter_partitions", counted)
+    nine = [src for _, src in _pool_sources() if len(src.users) == 9]
+    assert nine
+    for src in nine:
+        sizes.clear()
+        result = mmi(src, cap=9)
+        assert sizes == [len(result.finest)]
+
+
+def test_mmi_stdout_on_the_benchmark_pools_is_pinned(capsys, write_source):
+    pinned = json.loads((Path(__file__).parent / "mmi_exact_partition_stdout.json").read_text(
+        encoding="utf-8"))
+    cases = {f"{seed}/{group}": src
+             for seed in (1, 2)
+             for group, src in ((job.group, job.source)
+                                for job in benchmark_jobs("exact-partition", seed=seed)
+                                if job.kind == "mmi")}
+    assert cases.keys() == pinned.keys()
+    for case, data in cases.items():
+        assert main(["mmi", write_source(data, "pool.json"), "--cap", "9"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == pinned[case], case
+        assert captured.err == ""
+
+
+def test_a_wrong_min_cut_fails_the_internal_check(monkeypatch, capsys, write_source, star):
+    # Never merging keeps the singletons, whose ratio 3/2 is above the star's
+    # mmi 1: a coarsening of the claimed finest minimizer scores below it.
+    monkeypatch.setattr(mmi_mod, "_source_side", lambda cap: [True] + [False] * (len(cap) - 1))
+    with pytest.raises(InternalCheckError, match="scores below"):
+        mmi(star)
+    code, out, err = main(["mmi", write_source(_sources.STAR)]), *capsys.readouterr()
+    assert code == 4 and out == "" and err.startswith("internal check:")
+
+
+def test_a_wrong_newton_partition_fails_the_internal_check(monkeypatch, star):
+    # A Newton step that returns {01 | 2}, whose ratio 2 is not the value 3/2
+    # it stops at.
+    monkeypatch.setattr(mmi_mod, "_finest_minimizer", lambda n, edges, p, q: [0b011, 0b100])
+    with pytest.raises(InternalCheckError, match="Newton value"):
+        mmi(star)
+    monkeypatch.undo()
+    # Merging everything leaves no split at all.
+    monkeypatch.setattr(mmi_mod, "_source_side", lambda cap: [True] * len(cap))
+    with pytest.raises(InternalCheckError, match="no split"):
+        mmi(star)
