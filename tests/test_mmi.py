@@ -227,8 +227,8 @@ def hypergraph_sources(draw):
     """Hypergraphs on 2-8 users with rational weights and parallel edges.
     Users fall into up to three groups that no edge joins, so sources may be
     disconnected; single-user edges and isolated users occur.  Half the
-    sources get a path through each group.  Weights come
-    from a small set, so ties and with them many minimizers are common."""
+    sources get a path through each group.  Weights come from a small set,
+    so ties, and with them many minimizers, are common."""
     n = draw(st.integers(2, 8))
     groups = draw(st.sampled_from([1, 1, 2, 3]))
     group = draw(st.lists(st.integers(0, groups - 1), min_size=n, max_size=n))
@@ -282,15 +282,15 @@ def test_engine_on_disconnected_and_tied_sources():
     _assert_matches_oracle(full)
 
 
-def _pool_sources(seed=None):
-    return [(job.group, parse_source(job.source))
-            for job in benchmark_jobs("exact-partition", seed=seed) if job.kind == "mmi"]
+def _pool_sources():
+    return [parse_source(job.source) for job in benchmark_jobs("exact-partition")
+            if job.kind == "mmi"]
 
 
 def test_engine_matches_bell_scan_on_the_benchmark_pool():
     sources = _pool_sources()
-    assert {len(src.users) for _, src in sources} == {8, 9}
-    for _, src in sources:
+    assert {len(src.users) for src in sources} == {8, 9}
+    for src in sources:
         got, want = mmi(src, cap=9), _oracle.mmi_bell(src)
         assert (got.value, got.finest, got.minimizers) == (want.value, want.finest, want.minimizers)
 
@@ -304,7 +304,7 @@ def test_mmi_enumerates_only_coarsenings_of_the_finest(monkeypatch):
         return enumerate_(k)
 
     monkeypatch.setattr(mmi_mod, "iter_partitions", counted)
-    nine = [src for _, src in _pool_sources() if len(src.users) == 9]
+    nine = [src for src in _pool_sources() if len(src.users) == 9]
     assert nine
     for src in nine:
         sizes.clear()
@@ -315,11 +315,9 @@ def test_mmi_enumerates_only_coarsenings_of_the_finest(monkeypatch):
 def test_mmi_stdout_on_the_benchmark_pools_is_pinned(capsys, write_source):
     pinned = json.loads((Path(__file__).parent / "mmi_exact_partition_stdout.json").read_text(
         encoding="utf-8"))
-    cases = {f"{seed}/{group}": src
-             for seed in (1, 2)
-             for group, src in ((job.group, job.source)
-                                for job in benchmark_jobs("exact-partition", seed=seed)
-                                if job.kind == "mmi")}
+    cases = {f"{seed}/{job.group}": job.source
+             for seed in (1, 2) for job in benchmark_jobs("exact-partition", seed=seed)
+             if job.kind == "mmi"}
     assert cases.keys() == pinned.keys()
     for case, data in cases.items():
         assert main(["mmi", write_source(data, "pool.json"), "--cap", "9"]) == 0
