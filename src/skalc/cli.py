@@ -29,7 +29,7 @@ from fractions import Fraction
 from .errors import InternalCheckError, ResourceCapError, ValidationError
 from .mmi import DEFAULT_USER_CAP, mmi
 from .omniscience import rco
-from .source_model import format_number, load_source, parse_rational
+from .source_model import _read_json, format_number, load_source, parse_rational
 
 GRID_CAP = 10_000
 
@@ -61,13 +61,7 @@ def _parse_grid(text: str) -> list[Fraction]:
 def _load_curve(path: str):
     from .curves import CapacityCurve
 
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read curve file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad curve JSON: {exc}") from exc
+    data = _read_json(path)
     if isinstance(data, dict):
         data = data.get("points")
     if not isinstance(data, list) or not data:
@@ -199,17 +193,14 @@ def _cmd_simulate(args) -> int:
     source = load_source(args.source)
     if args.scheme == "tree":
         built = protocol_sim.tree_packing_scheme(source, args.blocklength)
-        report = built.report
         extra = {"trees": len(built.trees)}
     else:
         built = protocol_sim.random_binning_omniscience(source, args.blocklength, args.seed)
-        # Verified here, once the builder has dropped its transcript basis;
-        # verifying inside the builder raises the peak memory of a job.
-        report = protocol_sim.verify(built.instance, built.scheme)
         extra = {
             "achieved": built.achieved,
             "rates": {u: format_number(r) for u, r in sorted(built.rates.items())},
         }
+    report = built.report
     data = {
         "mode": args.scheme,
         "n": args.blocklength,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-__all__ = ["Gf2Basis", "rank", "complement_units"]
+__all__ = ["Gf2Basis", "complement_units"]
 
 
 class Gf2Basis:
@@ -58,10 +58,6 @@ class Gf2Basis:
         b = Gf2Basis()
         b._rows = dict(self._rows)
         return b
-
-
-def rank(rows: Iterable[int]) -> int:
-    return Gf2Basis(rows).rank
 
 
 def complement_units(basis: Gf2Basis, width: int) -> list[int]:

@@ -12,7 +12,10 @@ of the key (ranks add).
 Two constructions are provided: spanning-tree packing for pairwise sources
 (one key bit per packed tree) and random binning that first drives all users
 to omniscience at rates from the discussion-rate optimizer, then reads the
-key off as the untouched quotient of the source space.
+key off as the untouched quotient of the source space.  Each builder
+verifies its scheme once and keeps the result as ``report``; binning's
+``achieved`` (omniscience) is that report's key recovery, because its key
+and transcript rows together span every bit.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResourceCapError, ValidationError
-from .gf2 import Gf2Basis, complement_units, rank
+from .gf2 import Gf2Basis, complement_units
 from .mmi import pin_strength
 from .omniscience import rco
 from .source_model import HypergraphicalSource, is_pin
@@ -290,10 +293,6 @@ class TreePacking:
     trees: tuple[tuple[int, ...], ...]
     report: VerificationReport
 
-    @property
-    def key_bits(self) -> int:
-        return len(self.scheme.key)
-
 
 def tree_packing_scheme(source: HypergraphicalSource, n: int) -> TreePacking:
     """Scheme with one key bit per spanning tree packed into the n-fold
@@ -306,10 +305,10 @@ def tree_packing_scheme(source: HypergraphicalSource, n: int) -> TreePacking:
     """
     if not is_pin(source):
         raise ValidationError("tree packing needs a source with all edges on two users")
+    instance = BitSourceInstance(source, n)  # weight and bit caps before any work
     strength = pin_strength(source)
     if strength == 0:
         raise ValidationError("graph is disconnected; no spanning tree exists")
-    instance = BitSourceInstance(source, n)
     elements = []
     for e, inc in enumerate(source.incidence):
         u, v = sorted(inc)
@@ -343,10 +342,7 @@ class RandomBinning:
     scheme: LinearScheme
     achieved: bool
     rates: Mapping[str, Fraction]
-
-    @property
-    def key_bits(self) -> int:
-        return len(self.scheme.key)
+    report: VerificationReport
 
 
 def random_binning_omniscience(source: HypergraphicalSource, n: int, seed: int) -> RandomBinning:
@@ -354,10 +350,13 @@ def random_binning_omniscience(source: HypergraphicalSource, n: int, seed: int) 
 
     Every user with positive rate r_i broadcasts ceil(n * r_i) random
     parities of its own bits, padded by ceil(2 * log2(m + 1)) extra rows to
-    absorb rank defects.  `achieved` records whether all users can then
-    reconstruct every source bit; the key is a basis of the source space
-    modulo the transcript, so secrecy and uniformity hold by construction
-    whenever the transcript rank is what the key assumes.
+    absorb rank defects.  The key is the unit vectors at the non-pivot
+    positions of the transcript's echelon basis, so key and transcript rows
+    together span all m bits, and secrecy and uniformity hold by
+    construction.  A user who recovers the key from own bits plus transcript
+    therefore recovers every bit, and the converse is trivial: `achieved`
+    (omniscience of all users) is the key recovery of the one verification,
+    kept as `report`.
     """
     instance = BitSourceInstance(source, n)
     m = instance.total_bits
@@ -377,16 +376,13 @@ def random_binning_omniscience(source: HypergraphicalSource, n: int, seed: int) 
                 if rng.getrandbits(1):
                     row |= 1 << b
             transcript.append((row, user))
-    a_basis = Gf2Basis(row for row, _ in transcript)
-    achieved = True
-    for user in source.users:
-        obs = instance.user_mask(user)
-        if rank(row & ~obs for row in a_basis.rows) != m - obs.bit_count():
-            achieved = False
-            break
-    key = tuple(complement_units(a_basis, m))
+    # The transcript basis is garbage before verify builds its own: holding
+    # both raises the peak memory of a job.
+    key = tuple(complement_units(Gf2Basis(row for row, _ in transcript), m))
     scheme = LinearScheme(m, tuple(transcript), key)
-    return RandomBinning(instance, scheme, achieved, dict(witness.rates))
+    report = verify(instance, scheme)
+    return RandomBinning(instance, scheme, all(report.recoverable.values()),
+                         dict(witness.rates), report)
 
 
 # ------------------------------------------------------------------- json --

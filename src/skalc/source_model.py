@@ -311,16 +311,22 @@ def parse_source(data: dict) -> SourceSpec:
     raise ValidationError(f"unknown source kind {kind!r}")
 
 
-def load_source(path) -> SourceSpec:
-    """Read and parse a source JSON file."""
+def _read_json(path):
+    """The JSON value in a file; an unreadable or malformed file (bad
+    syntax, non-UTF-8 bytes, nesting past the recursion limit, an integer
+    literal past Python's digit limit) is a ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_source(data)
+
+
+def load_source(path) -> SourceSpec:
+    """Read and parse a source JSON file."""
+    return parse_source(_read_json(path))
 
 
 def entropy_of_masses(masses: Iterable[float]) -> float:

@@ -259,6 +259,31 @@ def test_non_finite_upper_curve_rejected(capsys, write_source, tmp_path, upper):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+# Files the json module cannot read: non-UTF-8 bytes (UnicodeDecodeError),
+# nesting past the recursion limit (RecursionError) and an integer literal
+# past Python's 4,300-digit conversion limit (ValueError).
+UNREADABLE_JSON = {
+    "non-utf8": b"\xff\xfe[]",
+    "deep": b"[" * 200_000 + b"]" * 200_000,
+    "long-int": b"[[" + b"9" * 4_400 + b", 1]]",
+}
+
+
+@pytest.mark.parametrize("role", ["source", "curve"])
+@pytest.mark.parametrize("case", UNREADABLE_JSON)
+def test_unreadable_json_file_exits_2(capsys, write_source, tmp_path, case, role):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNREADABLE_JSON[case])
+    if role == "source":
+        argv = ["mmi", str(bad)]
+    else:
+        argv = ["sandwich", write_source(_sources.EXAMPLE1), "--grid", "0:2:1",
+                "--cs-upper", str(bad)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: invalid JSON in {bad}:")
+
+
 # Per case: the fixture and the argv after the source path.
 CYCLE_CASES = {
     "mmi": ("EXAMPLE1", ["mmi"]),

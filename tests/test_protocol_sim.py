@@ -1,11 +1,15 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from skalc import protocol_sim
-from skalc.errors import ValidationError
+from skalc.cli import main
+from skalc.errors import ResourceCapError, ValidationError
 from skalc.gf2 import Gf2Basis, complement_units
 from skalc.protocol_sim import (
     BitSourceInstance,
@@ -22,6 +26,7 @@ from skalc.source_model import parse_source
 import _exhaustive
 import _oracle
 import _sources
+from _benchmark import benchmark_jobs
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -183,6 +188,18 @@ def test_tree_packing_rejects(example1):
         tree_packing_scheme(split, 1)
 
 
+def test_tree_packing_checks_caps_before_work(monkeypatch, triangle):
+    def no_work(source):
+        raise AssertionError("pin_strength ran before the instance caps were checked")
+
+    monkeypatch.setattr(protocol_sim, "pin_strength", no_work)
+    with pytest.raises(ResourceCapError):
+        tree_packing_scheme(triangle, protocol_sim.BIT_CAP)
+    halves = parse_source(_sources.hg("12", [("a", "12", F(1, 2))]))
+    with pytest.raises(ValidationError, match="integer"):
+        tree_packing_scheme(halves, 1)
+
+
 def test_tree_packing_exhaustive_small(triangle, star):
     for src, n in ((triangle, 2), (triangle, 4), (star, 2)):
         packed = tree_packing_scheme(src, n)
@@ -307,4 +324,24 @@ def test_binning_achieved_matches_oracle(seed, n, blocklength, scale):
         mp.setattr(protocol_sim, "rco", scaled_rco)
         binned = random_binning_omniscience(src, blocklength, seed=rng.randrange(100))
     assert binned.achieved == _oracle.omniscience_reached(binned.instance, binned.scheme.transcript)
-    assert verify(binned.instance, binned.scheme) == _oracle.verify(binned.instance, binned.scheme)
+    assert binned.report == _oracle.verify(binned.instance, binned.scheme)
+    assert binned.achieved == all(binned.report.recoverable.values())
+
+
+def test_simulate_stdout_on_the_benchmark_pools_is_pinned(capsys, write_source):
+    # The first two template cycles of the seed-1 and seed-2 pools; with
+    # --dump-scheme only the digest of stdout is kept.
+    pinned = json.loads((Path(__file__).parent / "simulate_stdout.json").read_text(
+        encoding="utf-8"))
+    cases = {f"{seed}/{job.group}": job
+             for seed in (1, 2) for job in benchmark_jobs("linear-schemes", cycles=2, seed=seed)}
+    assert cases.keys() == pinned.keys()
+    for case, job in cases.items():
+        argv = [a.format(src=write_source(job.source, "pool.json")) for a in job.argv]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (pinned[case]["stdout"], ""), case
+        assert main([*argv, "--dump-scheme"]) == 0
+        captured = capsys.readouterr()
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()
+        assert (digest, captured.err) == (pinned[case]["dump_scheme_sha256"], ""), case
