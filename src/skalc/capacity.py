@@ -259,10 +259,7 @@ def lower_bound_curve(source: HypergraphicalSource) -> LowerBoundResult:
 
     witnesses = {}
     for x, y in curve.points:
-        rec = store.get(x)
-        if rec is None or rec[0] != y:
-            raise InternalCheckError(f"no witness evaluation stored for breakpoint {(x, y)}")
-        f = rec[1]
+        f = store[x][1]
         restriction = _restriction_from_fractions(source, f)
         entropy_used = sum((w * fe for w, fe in zip(source.weights, f)), zero)
         witnesses[(x, y)] = LowerBoundWitness(((Fraction(1), restriction, y, entropy_used),))

@@ -132,10 +132,6 @@ def partition_info(source: SourceSpec, partition: Sequence[Sequence[str]]) -> Fr
     return (acc - entropy(source, source.users)) / (len(masks) - 1)
 
 
-def _refines(fine: Partition, coarse: Partition) -> bool:
-    return all(any(b <= c for c in coarse) for b in fine)
-
-
 @dataclass(frozen=True)
 class MmiResult:
     value: Fraction | float
@@ -159,20 +155,21 @@ def mmi(source: SourceSpec, cap: int = DEFAULT_USER_CAP) -> MmiResult:
         raise ResourceCapError(f"{n} users exceed partition enumeration cap {cap}")
     if isinstance(source, HypergraphicalSource):
         p, q, blocks = _principal_partition(source)
+        value = Fraction(p, q * source.denominator)
         found = _coarsenings(source, blocks, p, q)
-        minimizers = tuple(_canonical_partition(source, m) for m in found)
-        finest = _canonical_partition(source, blocks)
-        return MmiResult(Fraction(p, q * source.denominator), finest, minimizers)
-    value, minimizer_masks = _minimize_float(entropy_table(source), n)
-    minimizers = tuple(_canonical_partition(source, m) for m in minimizer_masks)
-    finest = max(minimizers, key=lambda p: (len(p), [sorted(b) for b in p]))
-    for other in minimizers:
-        if not _refines(finest, other):
-            raise InternalCheckError(
-                "finest minimizer does not refine a co-minimizer; "
-                f"finest={finest} other={other}"
-            )
-    return MmiResult(value, finest, minimizers)
+    else:
+        value, found = _minimize_float(entropy_table(source), n)
+        blocks = max(found, key=len)
+        for other in found:
+            # Some block of the finest lies in no block of the other.
+            if any(all(b & ~c for c in other) for b in blocks):
+                raise InternalCheckError(
+                    "finest minimizer does not refine a co-minimizer; "
+                    f"finest={_canonical_partition(source, blocks)} "
+                    f"other={_canonical_partition(source, other)}"
+                )
+    minimizers = tuple(_canonical_partition(source, m) for m in found)
+    return MmiResult(value, _canonical_partition(source, blocks), minimizers)
 
 
 def _coarsenings(

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mmi import DEFAULT_USER_CAP as _MMI_CAP, mmi as _mmi
-from .errors import InternalCheckError, ResourceCapError, ValidationError
+from .mmi import mmi as _mmi
+from .errors import InternalCheckError, ResourceCapError
 from .lp import simplex_min
 from .source_model import HypergraphicalSource, SourceSpec, entropy, entropy_table
 
@@ -54,9 +54,7 @@ def rco(source: SourceSpec) -> RcoResult:
         raise ResourceCapError(f"{n} users exceed the omniscience cap {RCO_USER_CAP}")
     exact = isinstance(source, HypergraphicalSource)
     full = (1 << n) - 1
-    masks = list(range(1, full))
-    if not masks:
-        raise ValidationError("omniscience needs at least two users")
+    masks = range(1, full)
     # H(Z_B | Z_{V \ B}) = H(V) - H(V \ B), from one table of all user sets.
     table = entropy_table(source)
     scale = source.denominator if exact else 1
@@ -64,21 +62,24 @@ def rco(source: SourceSpec) -> RcoResult:
 
     # Dual program: maximize h.y with, per user i, sum over subsets containing
     # i of y_B at most 1.  Feasible at y = 0, so a single simplex phase runs.
-    cols = len(masks)
     c = [-hv for hv in h]
     rows = [[mask >> i & 1 for mask in masks] for i in range(n)]
     sol = simplex_min(c, rows, [1] * n)
     value = -sol.value
     rates = [-d for d in sol.duals]
 
-    # The duals certify an exactly feasible and optimal primal point; verify.
+    # The duals certify an exactly feasible and optimal primal point; verify,
+    # with the rate of every user set from one subset-sum pass.
     if any(r < 0 for r in rates):
         raise InternalCheckError("negative omniscience rate from LP duals")
-    if sum(rates, Fraction(0)) != value:
+    got = [Fraction(0)] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        got[mask] = got[mask ^ low] + rates[low.bit_length() - 1]
+    if got[full] != value:
         raise InternalCheckError("omniscience witness total differs from LP value")
     for mask, hv in zip(masks, h):
-        got = sum((rates[i] for i in range(n) if mask >> i & 1), Fraction(0))
-        if got < hv:
+        if got[mask] < hv:
             raise InternalCheckError(f"omniscience witness violates subset {mask:b}")
 
     if exact:
@@ -88,22 +89,17 @@ def rco(source: SourceSpec) -> RcoResult:
     return RcoResult(float(value), witness)
 
 
-def unconstrained_capacity(source: SourceSpec, cap: int = _MMI_CAP) -> Fraction | float:
+def unconstrained_capacity(source: SourceSpec) -> Fraction | float:
     """Key rate with unlimited discussion: the partition-based MI.
 
     Computed as mmi(source) and asserted against H(Z_V) - rco(source), two
     independent routes that must agree (exactly for rational sources, to
     1e-9 for pmfs).
     """
-    result = _mmi(source, cap=cap)
-    total = entropy(source, source.users)
-    via_rco = total - rco(source).value
-    if isinstance(source, HypergraphicalSource):
-        if via_rco != result.value:
-            raise InternalCheckError(
-                f"duality gap: H - rco = {via_rco} but partition search gives {result.value}"
-            )
-    elif abs(via_rco - result.value) > 1e-9:
+    result = _mmi(source)
+    via_rco = entropy(source, source.users) - rco(source).value
+    tolerance = 0 if isinstance(source, HypergraphicalSource) else 1e-9
+    if abs(via_rco - result.value) > tolerance:
         raise InternalCheckError(
             f"duality gap: H - rco = {via_rco} but partition search gives {result.value}"
         )

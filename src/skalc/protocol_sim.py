@@ -108,6 +108,10 @@ class LinearScheme:
     key: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.width, int) or self.width < 0:
+            raise ValidationError(f"scheme width {self.width!r} is not a nonnegative integer")
+        if self.width > BIT_CAP:
+            raise ResourceCapError(f"scheme width {self.width} exceeds the instance cap {BIT_CAP}")
         limit = 1 << self.width
         for row, speaker in self.transcript:
             if not 0 <= row < limit:
@@ -309,13 +313,9 @@ def tree_packing_scheme(source: HypergraphicalSource, n: int) -> TreePacking:
     strength = pin_strength(source)
     if strength == 0:
         raise ValidationError("graph is disconnected; no spanning tree exists")
-    elements = []
-    for e, inc in enumerate(source.incidence):
-        u, v = sorted(inc)
-        for bit in instance.edge_bits(e):
-            if bit != len(elements):
-                raise InternalCheckError("bit layout out of sync with element list")
-            elements.append((u, v))
+    # Element k is bit k: edges in declaration order, w_e * n bits each.
+    elements = [tuple(sorted(inc)) for inc, w in zip(source.incidence, source.weights)
+                for _ in range(int(w) * n)]
     nv = len(source.users)
     trees, _ = _partition_into_forests(nv, elements, math.floor(n * strength))
     if any(len(tree) != nv - 1 for tree in trees):

@@ -44,8 +44,8 @@ __all__ = [
     "PMF_SUPPORT_CAP",
 ]
 
-# Component search on a pmf support enumerates outcome pairs through shared
-# coordinate values; cap keeps that tractable.
+# Every pmf entropy sums over the support rows in Python, and mmi and rco
+# take one entropy per user set (2^n of them); the cap bounds that work.
 PMF_SUPPORT_CAP = 100_000
 
 
@@ -280,7 +280,10 @@ def _parse_pmf(data: dict) -> JointPMF:
             raise ValidationError("outcome symbols must be integers")
         if not isinstance(p, (int, float)) or isinstance(p, bool):
             raise ValidationError("probability must be a number")
-        p = float(p)
+        try:
+            p = float(p)
+        except OverflowError:
+            raise ValidationError("probability is past the float range") from None
         if p < 0:
             raise ValidationError("probabilities must be nonnegative")
         if p == 0:

@@ -515,8 +515,11 @@ def run_sweep(p: JointPMF, seed: int = 0) -> SweepResult:
     One sweep serves both curves; the query functions read it.  A binary
     Z_1 gets the exact two-point-mixture sweep, which uses no randomness;
     larger alphabets get the seeded alternating maximization.  Each batch is
-    scored once, when it is made.
+    scored once, when it is made.  A negative seed is rejected for every
+    pmf, before any work.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     mat = pmf_matrix(p)
     nx, ny = mat.shape
     px = mat.sum(axis=1)

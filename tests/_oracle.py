@@ -73,7 +73,6 @@ from skalc.mmi import (
     MmiResult,
     _canonical_partition,
     _minimize_exact,
-    _refines,
     iter_partitions,
 )
 from skalc.protocol_sim import VerificationReport, _partition_into_forests, validate_scheme
@@ -336,6 +335,10 @@ def _block_entropy(source: SourceSpec, mask: int):
         return source.entropy_of_mask(mask)
     users = [u for i, u in enumerate(source.users) if mask >> i & 1]
     return entropy(source, users)
+
+
+def _refines(fine, coarse) -> bool:
+    return all(any(b <= c for c in coarse) for b in fine)
 
 
 def mmi_two_pass(source: SourceSpec, cap: int = DEFAULT_USER_CAP) -> MmiResult:

@@ -131,6 +131,21 @@ def test_lower_bound_witness_components_verify(example1, star):
                     assert value == F(0)
 
 
+def test_lower_bound_witnesses_are_keyed_by_the_breakpoints():
+    """One witness per breakpoint, in curve order, each the LP retention that
+    reaches the breakpoint's value within its budget."""
+    rng = random.Random(23)
+    for _ in range(12):
+        src = parse_source(_sources.random_hypergraph(rng, n_users=rng.randint(2, 5)))
+        res = lower_bound_curve(src)
+        assert list(res.witnesses) == list(res.curve.points)
+        for (x, y), w in res.witnesses.items():
+            ((_, restriction, value, used),) = w.components
+            kept = restrict(src, restriction)
+            assert value == y and used == entropy(kept, kept.users) <= x
+            assert (mmi(kept).value if kept.edge_ids else 0) == y
+
+
 def test_lower_bound_star_needs_fractions(star):
     res = lower_bound_curve(star)
     assert res.curve.points == ((F(0), F(0)), (F(2), F(1)))

@@ -13,7 +13,7 @@ import skalc.cli
 import skalc.two_user
 from skalc import protocol_sim
 from skalc.cli import main
-from skalc.errors import InternalCheckError
+from skalc.errors import InternalCheckError, ValidationError
 from skalc.protocol_sim import scheme_from_json
 from skalc.source_model import parse_rational, parse_source
 from skalc.two_user import run_sweep
@@ -248,6 +248,34 @@ def test_non_finite_probability_rejected(capsys, write_source, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+# A probability that is a JSON integer past the float range.
+HUGE_PMF = {"kind": "pmf", "users": ["1", "2"], "alphabets": [2, 2],
+            "table": [[0, 0, 10**400], [1, 1, 0.5]]}
+
+
+@pytest.mark.parametrize("argv", [["mmi"], ["rco"], ["two-user", "--grid", "0:1:1/2"]])
+def test_probability_past_the_float_range_rejected(capsys, write_source, argv):
+    path = write_source(HUGE_PMF)
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "float range" in err
+
+
+@pytest.mark.parametrize("source", ["BIT_PMF", "INTRO_PMF"])
+def test_negative_two_user_seed_rejected_before_any_work(capsys, write_source, monkeypatch,
+                                                         source):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the seed is checked before any work starts")
+
+    monkeypatch.setattr(skalc.two_user, "pmf_matrix", no_work)
+    with pytest.raises(ValidationError, match="seed"):
+        run_sweep(parse_source(getattr(_sources, source)), seed=-1)
+    path = write_source(getattr(_sources, source))
+    code, out, err = run_cli(capsys, "two-user", path, "--grid", "0:1:1/2", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "seed" in err
+
+
 @pytest.mark.parametrize("upper", [[[math.nan, math.nan]], [[0, 0], [1, math.nan]]])
 def test_non_finite_upper_curve_rejected(capsys, write_source, tmp_path, upper):
     path = write_source(_sources.EXAMPLE1)
@@ -438,3 +466,11 @@ def test_numpy_loaded_only_for_two_user(write_source):
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["mmi"] == "3/2"
+
+
+def test_exports_resolve_and_lazy_names_are_exported():
+    import skalc
+
+    assert set(skalc._LAZY) <= set(skalc.__all__)
+    for name in skalc.__all__:
+        getattr(skalc, name)

@@ -347,3 +347,20 @@ def test_a_wrong_newton_partition_fails_the_internal_check(monkeypatch, star):
     monkeypatch.setattr(mmi_mod, "_source_side", lambda cap: [True] * len(cap))
     with pytest.raises(InternalCheckError, match="no split"):
         mmi(star)
+
+
+def test_a_non_refining_pmf_minimizer_fails_the_internal_check(monkeypatch, capsys,
+                                                               write_source):
+    # {12 | 3} and {1 | 23} tie, and neither refines the other.
+    monkeypatch.setattr(mmi_mod, "_minimize_float",
+                        lambda h, n: (0.5, [(0b011, 0b100), (0b001, 0b110)]))
+    psrc = parse_source(_sources.hypergraph_as_pmf(_sources.TRIANGLE))
+    with pytest.raises(InternalCheckError, match="does not refine a co-minimizer"):
+        mmi(psrc)
+    path = write_source(_sources.hypergraph_as_pmf(_sources.TRIANGLE))
+    code, out, err = main(["mmi", path]), *capsys.readouterr()
+    assert code == 4 and out == "" and err.startswith("internal check:")
+    # Two minimizers, one refining the other: the finer is the finest.
+    monkeypatch.setattr(mmi_mod, "_minimize_float",
+                        lambda h, n: (0.5, [(0b011, 0b100), (0b001, 0b010, 0b100)]))
+    assert _blocks(mmi(psrc).finest) == [["1"], ["2"], ["3"]]

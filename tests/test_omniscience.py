@@ -4,8 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from skalc import omniscience
+from skalc.errors import InternalCheckError
+from skalc.lp import LpSolution
 from skalc.mmi import mmi
-from skalc.omniscience import rco, unconstrained_capacity
+from skalc.omniscience import RcoResult, rco, unconstrained_capacity
 from skalc.source_model import conditional_entropy, entropy, parse_source
 
 import _sources
@@ -74,3 +77,43 @@ def test_two_user_pmf_path(intro_pmf):
     # r1 >= H(Z1|Z2), r2 >= H(Z2|Z1), both binding at the optimum
     assert abs(result.value - 2.0) < 1e-9
     assert abs(unconstrained_capacity(intro_pmf) - 1.0) < 1e-9
+
+
+def _doctored(real, doctor):
+    """simplex_min with its solution passed through ``doctor``."""
+    return lambda *args: doctor(real(*args))
+
+
+@pytest.mark.parametrize("doctor, message", [
+    # The dual of user 0's row turned positive: a rate of -1.
+    (lambda sol: LpSolution(sol.value, sol.x, (F(1),) + sol.duals[1:]), "negative"),
+    # The LP value moved by one unit; the rates still add up to the old one.
+    (lambda sol: LpSolution(sol.value - 1, sol.x, sol.duals), "total"),
+    # Every rate and the value zeroed: the total matches, a subset goes short.
+    (lambda sol: LpSolution(F(0), sol.x, (F(0),) * len(sol.duals)), "violates subset"),
+])
+def test_certificate_rejects_doctored_duals(monkeypatch, triangle, intro_pmf, doctor, message):
+    monkeypatch.setattr(omniscience, "simplex_min", _doctored(omniscience.simplex_min, doctor))
+    for src in (triangle, intro_pmf):
+        with pytest.raises(InternalCheckError, match=message):
+            rco(src)
+
+
+@pytest.mark.parametrize("fixture, shift", [("triangle", F(1, 7)), ("intro_pmf", 1e-6)])
+def test_unconstrained_capacity_duality_gap_fires(monkeypatch, request, fixture, shift):
+    src = request.getfixturevalue(fixture)
+    real = omniscience.rco
+
+    def off(shifted):
+        def shifted_rco(source):
+            result = real(source)
+            return RcoResult(result.value + shifted, result.witness)
+        return shifted_rco
+
+    if fixture == "intro_pmf":
+        # Float noise inside the 1e-9 tolerance passes.
+        monkeypatch.setattr(omniscience, "rco", off(1e-12))
+        assert abs(unconstrained_capacity(src) - 1.0) < 1e-9
+    monkeypatch.setattr(omniscience, "rco", off(shift))
+    with pytest.raises(InternalCheckError, match="duality gap"):
+        unconstrained_capacity(src)

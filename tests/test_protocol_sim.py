@@ -9,7 +9,7 @@ import pytest
 
 from skalc import protocol_sim
 from skalc.cli import main
-from skalc.errors import ResourceCapError, ValidationError
+from skalc.errors import InternalCheckError, ResourceCapError, ValidationError
 from skalc.gf2 import Gf2Basis, complement_units
 from skalc.protocol_sim import (
     BitSourceInstance,
@@ -97,6 +97,20 @@ def test_scheme_validation(triangle):
     wide = LinearScheme(4, (), (0b1,))
     with pytest.raises(ValidationError):
         validate_scheme(inst, wide)
+
+
+@pytest.mark.parametrize("width, error", [
+    (-1, ValidationError),
+    ("3", ValidationError),
+    (protocol_sim.BIT_CAP + 1, ResourceCapError),
+    (10**30, ResourceCapError),
+])
+def test_scheme_width_checked_before_use(width, error):
+    with pytest.raises(error, match="width"):
+        LinearScheme(width, (), ())
+    if isinstance(width, int):
+        with pytest.raises(error, match="width"):
+            scheme_from_json(json.dumps({"width": width, "transcript": [], "key": []}))
 
 
 def test_example1_hand_scheme(example1):
@@ -198,6 +212,37 @@ def test_tree_packing_checks_caps_before_work(monkeypatch, triangle):
     halves = parse_source(_sources.hg("12", [("a", "12", F(1, 2))]))
     with pytest.raises(ValidationError, match="integer"):
         tree_packing_scheme(halves, 1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tree_packing_element_k_is_bit_k(monkeypatch, seed):
+    """The edge the matroid partition calls element k is the edge that bit k
+    of the instance belongs to: exactly its two endpoints observe that bit."""
+    seen = []
+    partition = protocol_sim._partition_into_forests
+
+    def spy(nv, elements, k):
+        seen.append(list(elements))
+        return partition(nv, elements, k)
+
+    monkeypatch.setattr(protocol_sim, "_partition_into_forests", spy)
+    rng = random.Random(seed)
+    packed = tree_packing_scheme(_random_pairwise(rng, rng.randint(2, 6)), rng.randint(1, 3))
+    inst = packed.instance
+    observers = [tuple(i for i, u in enumerate(inst.source.users) if inst.user_mask(u) >> k & 1)
+                 for k in range(inst.total_bits)]
+    assert seen == [observers]
+
+
+def test_tree_packing_internal_checks_fire(monkeypatch, triangle):
+    monkeypatch.setattr(protocol_sim, "_partition_into_forests",
+                        lambda nv, elements, k: ([set() for _ in range(k)], {}))
+    with pytest.raises(InternalCheckError, match="not spanning"):
+        tree_packing_scheme(triangle, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(protocol_sim, "verify", lambda inst, scheme: SimpleNamespace(ok=False))
+    with pytest.raises(InternalCheckError, match="own verification"):
+        tree_packing_scheme(triangle, 2)
 
 
 def test_tree_packing_exhaustive_small(triangle, star):
