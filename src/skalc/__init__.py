@@ -24,8 +24,8 @@ from .source_model import (
 # mmi and rco commands need none of these modules.
 _LAZY = {
     **dict.fromkeys(("LowerBoundResult", "LowerBoundWitness", "PinCurves", "alpha_s_lower_bound",
-                     "duality_upper_bound", "gk_floor", "lower_bound_curve", "pin_curves",
-                     "sandwich", "witness_at"), "capacity"),
+                     "duality_upper_bound", "lower_bound_curve", "pin_curves", "sandwich",
+                     "witness_at"), "capacity"),
     **dict.fromkeys(("CapacityCurve", "constant_curve", "upper_concave_envelope"), "curves"),
     **dict.fromkeys(("BitSourceInstance", "LinearScheme", "RandomBinning", "TreePacking",
                      "random_binning_omniscience", "scheme_from_json", "scheme_to_json",
@@ -77,7 +77,6 @@ __all__ = [
     "duality_upper_bound",
     "entropy",
     "gacs_korner",
-    "gk_floor",
     "is_pin",
     "load_source",
     "lower_bound_curve",

@@ -3,7 +3,9 @@
 The central object is the compressed-secrecy trade-off: the best key rate
 when the users may first reduce their joint observation to at most ``alpha``
 bits of entropy.  For pairwise-shared-bit sources (PINs) the trade-off is
-known exactly and both curves here are closed forms.  In general we compute:
+known exactly and both curves here are closed forms; ``sandwich`` takes its
+lower curve from them on three or more users.  For every other source we
+compute:
 
 * a decremental lower bound: restrict each edge to a retained fraction,
   score the restricted source by its partition-based mutual information,
@@ -41,7 +43,6 @@ from .mmi import _minimize_exact, iter_partitions, pin_strength
 from .source_model import (
     EdgeRestriction,
     HypergraphicalSource,
-    SourceSpec,
     _hypergraph_table,
     entropy_table,
     gacs_korner,
@@ -55,7 +56,6 @@ __all__ = [
     "pin_curves",
     "lower_bound_curve",
     "witness_at",
-    "gk_floor",
     "duality_upper_bound",
     "alpha_s_lower_bound",
     "SandwichRow",
@@ -291,14 +291,6 @@ def witness_at(result: LowerBoundResult, alpha: Fraction) -> LowerBoundWitness:
     )
 
 
-def gk_floor(source: SourceSpec, alpha):
-    """Floor min(alpha, common randomness shared by all users)."""
-    if alpha < 0:
-        raise ValidationError("budget must be nonnegative")
-    jgk = gacs_korner(source)
-    return min(alpha, jgk)
-
-
 def duality_upper_bound(cs_upper: CapacityCurve, cap, alpha):
     """Largest g in [0, min(alpha, cap)] with g <= cs_upper(alpha - g).
 
@@ -369,23 +361,29 @@ def sandwich(
     """Evaluate the best lower and upper bounds on the compressed capacity.
 
     lower = max(decremental curve, common-part floor); upper = min(budget,
-    cap, transferred discussion-rate bound).  Rows are flagged tight where
-    they coincide (exactly in rational arithmetic, to 1e-9 when a float
-    curve is supplied).
+    cap, transferred discussion-rate bound).  On a pairwise source with
+    three or more users the decremental curve is the exact closed form
+    ``pin_curves(source).compressed``, so ``LB_USER_CAP`` and ``EDGE_CAP``
+    bound only the cutting-plane LP of the other sources.  Rows are flagged
+    tight where they coincide (exactly in rational arithmetic, to 1e-9 when
+    a float curve is supplied).
     """
     if not alphas:
         raise ValidationError("the budget grid must not be empty")
     alphas = [Fraction(alpha) for alpha in alphas]
     if min(alphas) < 0:
         raise ValidationError("grid budgets must be nonnegative")
-    lb = lower_bound_curve(source)
+    if isinstance(source, HypergraphicalSource) and is_pin(source) and len(source.users) >= 3:
+        curve = pin_curves(source).compressed
+    else:
+        curve = lower_bound_curve(source).curve
     # I_P(f) is nondecreasing in the retention f, so the curve saturates at
     # mmi once the budget covers H(V).
-    cap = lb.curve.cap()
+    cap = curve.cap()
     jgk = gacs_korner(source)
     rows = []
     for alpha in alphas:
-        lower = max(lb.curve.value_at(alpha), min(alpha, jgk))
+        lower = max(curve.value_at(alpha), min(alpha, jgk))
         upper = min(alpha, cap)
         if cs_upper is not None:
             bound = duality_upper_bound(cs_upper, cap, alpha)
@@ -402,4 +400,4 @@ def sandwich(
         if gap < (0 if exact else -1e-9):
             raise InternalCheckError(f"bounds crossed at alpha={alpha}: {lower} > {upper}")
         rows.append(SandwichRow(alpha, lower, upper, gap <= (0 if exact else 1e-9)))
-    return SandwichResult(tuple(rows), cap, jgk, lb.curve.saturation_x())
+    return SandwichResult(tuple(rows), cap, jgk, curve.saturation_x())

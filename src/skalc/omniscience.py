@@ -96,7 +96,7 @@ def unconstrained_capacity(source: SourceSpec) -> Fraction | float:
     independent routes that must agree (exactly for rational sources, to
     1e-9 for pmfs).
     """
-    result = _mmi(source)
+    result = _mmi(source, cap=RCO_USER_CAP)
     via_rco = entropy(source, source.users) - rco(source).value
     tolerance = 0 if isinstance(source, HypergraphicalSource) else 1e-9
     if abs(via_rco - result.value) > tolerance:

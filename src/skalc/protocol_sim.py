@@ -94,10 +94,6 @@ class BitSourceInstance:
         except KeyError:
             raise ValidationError(f"unknown user {user!r}") from None
 
-    def edge_bits(self, edge_index: int) -> range:
-        off = self.offsets[edge_index]
-        return range(off, off + int(self.source.weights[edge_index]) * self.n)
-
 
 @dataclass(frozen=True)
 class LinearScheme:
@@ -345,6 +341,29 @@ class RandomBinning:
     report: VerificationReport
 
 
+# Byte -> b"1" when its top bit is set, else b"0".
+_TOP_BIT = bytes(48 + (b >> 7) for b in range(256))
+
+
+def _random_row(rng: random.Random, runs: Sequence[tuple[int, int]]) -> int:
+    """Random row on the bit runs (offset, length), ascending and not all
+    empty: a user who observes nothing has rate 0 at every rco optimum.
+
+    Bit for bit the row of one ``rng.getrandbits(1)`` per bit, lowest bit
+    first, and it leaves ``rng`` in the same state: that draw is the top bit
+    of one 32-bit Mersenne Twister word, and ``getrandbits(32 * w)`` returns
+    the next w words, low word first.
+    """
+    width = sum(length for _, length in runs)
+    tops = rng.getrandbits(32 * width).to_bytes(4 * width, "little")[3::4]
+    draws = int(tops.translate(_TOP_BIT)[::-1], 2)
+    row = 0
+    for off, length in runs:
+        row |= (draws & ((1 << length) - 1)) << off
+        draws >>= length
+    return row
+
+
 def random_binning_omniscience(source: HypergraphicalSource, n: int, seed: int) -> RandomBinning:
     """Random linear binning at the optimal discussion rates.
 
@@ -364,18 +383,14 @@ def random_binning_omniscience(source: HypergraphicalSource, n: int, seed: int) 
     rng = random.Random(seed)
     margin = math.ceil(2 * math.log2(m + 1))
     transcript = []
-    for user in source.users:
+    for ui, user in enumerate(source.users):
         r = witness.rates[user]
         if r <= 0:
             continue
-        obs = instance.user_mask(user)
-        bits = [k for k in range(m) if obs >> k & 1]
+        runs = [(off, int(w) * n) for off, w, inc
+                in zip(instance.offsets, source.weights, source.incidence) if ui in inc]
         for _ in range(math.ceil(n * r) + margin):
-            row = 0
-            for b in bits:
-                if rng.getrandbits(1):
-                    row |= 1 << b
-            transcript.append((row, user))
+            transcript.append((_random_row(rng, runs), user))
     # The transcript basis is garbage before verify builds its own: holding
     # both raises the peak memory of a job.
     key = tuple(complement_units(Gf2Basis(row for row, _ in transcript), m))

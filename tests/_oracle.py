@@ -26,6 +26,9 @@ that reran the matroid partition for k = 1, 2, ... until a run failed;
 ``verify`` and ``omniscience_reached`` are the unit-vector recoverability
 checks that copied the transcript basis and inserted one unit per observed
 bit, where ``skalc.protocol_sim`` now masks the observed bits off.
+``binning_row`` is binning's loop of one ``getrandbits(1)`` per observed
+bit, kept unchanged; the one-word row draw must give the same rows and
+leave the generator in the same state.
 
 ``ib_batch`` is the two-user alternating maximization that ran every run
 of a batch until the slowest one converged, kept unchanged; the frozen loop
@@ -702,3 +705,13 @@ def omniscience_reached(instance, transcript) -> bool:
             achieved = False
             break
     return achieved
+
+
+def binning_row(rng, obs: int, m: int) -> int:
+    """A random row on the bits of ``obs`` among the first ``m``, one draw per bit."""
+    bits = [k for k in range(m) if obs >> k & 1]
+    row = 0
+    for b in bits:
+        if rng.getrandbits(1):
+            row |= 1 << b
+    return row

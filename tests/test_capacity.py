@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import random
@@ -14,7 +15,6 @@ from skalc.capacity import (
     _cut_row,
     alpha_s_lower_bound,
     duality_upper_bound,
-    gk_floor,
     lower_bound_curve,
     pin_curves,
     sandwich,
@@ -23,7 +23,14 @@ from skalc.capacity import (
 from skalc.curves import CapacityCurve, check_curve, constant_curve, upper_concave_envelope
 from skalc.errors import InternalCheckError, ResourceCapError, ValidationError
 from skalc.mmi import iter_partitions, mmi
-from skalc.source_model import _hypergraph_table, entropy, entropy_table, parse_source, restrict
+from skalc.source_model import (
+    _hypergraph_table,
+    entropy,
+    entropy_table,
+    gacs_korner,
+    parse_source,
+    restrict,
+)
 
 import _oracle
 import _sources
@@ -327,10 +334,19 @@ def test_lower_bound_caps():
         lower_bound_curve(parse_source(tall))
 
 
-def test_gk_floor(example1, triangle):
-    assert gk_floor(example1, F(1, 2)) == F(1, 2)
-    assert gk_floor(example1, F(3)) == F(1)
-    assert gk_floor(triangle, F(3)) == F(0)
+def test_gk_floor(example1, triangle, monkeypatch):
+    # Under a decremental curve of slope 1/4, sandwich's lower bound is the
+    # common-part floor min(alpha, J_GK).  EXAMPLE1's users share one bit
+    # outright, the triangle's none.
+    assert gacs_korner(example1) == F(1) and gacs_korner(triangle) == F(0)
+    slow = CapacityCurve(((F(0), F(0)), (F(8), F(2))))
+    monkeypatch.setattr(capacity, "lower_bound_curve",
+                        lambda source: capacity.LowerBoundResult(slow, {}))
+    grid = [F(1, 2), F(3), F(8)]
+    res = sandwich(example1, grid)
+    assert res.gk == F(1)
+    assert [row.lower for row in res.rows] == [F(1, 2), F(1), F(2)]
+    assert [row.lower for row in res.rows] == [max(slow.value_at(a), min(a, res.gk)) for a in grid]
 
 
 UPPER = CapacityCurve(((F(0), F(1)), (F(1), F(2))))
@@ -394,6 +410,62 @@ def test_sandwich_cap_is_bell_mmi():
         res = sandwich(src, [F(0), F(1)])
         assert res.cap == mmi(src).value
         assert res.inferred_alpha_s == lower_bound_curve(src).curve.saturation_x()
+
+
+def _disconnected_pin(rng):
+    """Two connected pairwise parts side by side, so the strength is 0."""
+    left = _sources.random_connected_pin(rng, n_users=rng.randint(2, 4))
+    right = _sources.random_connected_pin(rng, n_users=rng.randint(2, 3))
+    shift = len(left["users"])
+
+    def moved(users):
+        return [str(int(u) + shift) for u in users]
+
+    edges = left["edges"] + [{**e, "id": "r" + e["id"], "on": moved(e["on"])}
+                             for e in right["edges"]]
+    return {**left, "users": left["users"] + moved(right["users"]), "edges": edges}
+
+
+def _no_lp(source):
+    raise AssertionError("pairwise sources on three or more users take the closed form")
+
+
+def test_sandwich_reads_pairwise_sources_off_the_closed_form(monkeypatch):
+    # The pairwise sources of the seed-1 pool cycle, 100 random ones on 3-7
+    # users (rational weights, parallel pairs) and disconnected draws: the
+    # closed form gives the rows, cap, floor and saturation budget the LP
+    # gives, with and without the exact constrained curve as upper bound.
+    rng = random.Random(24)
+    sources = [parse_source(job.source) for job in benchmark_jobs("budget-curves", cycles=1)
+               if "pin_cap" in job.params]
+    sources += [parse_source(_sources.random_connected_pin(rng, n_users=rng.randint(3, 7)))
+                for _ in range(100)]
+    sources += [parse_source(_disconnected_pin(rng)) for _ in range(10)]
+    assert len(sources) == 116
+    assert any(len(set(src.incidence)) < len(src.incidence) for src in sources)
+    assert sum(pin_curves(src).cap == 0 for src in sources) == 10
+
+    cases = [(src, sorted({F(k, 3) for k in range(19)} | {src.total_entropy()}), upper)
+             for src in sources for upper in (None, pin_curves(src).constrained)]
+    with monkeypatch.context() as mp:
+        mp.setattr(capacity, "is_pin", lambda source: False)
+        mp.setattr(capacity, "lower_bound_curve", functools.cache(lower_bound_curve))
+        via_lp = [sandwich(*case) for case in cases]
+    monkeypatch.setattr(capacity, "lower_bound_curve", _no_lp)
+    assert [sandwich(*case) for case in cases] == via_lp
+
+
+def test_sandwich_keeps_the_lp_on_two_users_and_hypergraphs(example1, monkeypatch):
+    calls = []
+    real = capacity.lower_bound_curve
+    monkeypatch.setattr(capacity, "lower_bound_curve",
+                        lambda source: calls.append(source) or real(source))
+    omni = parse_source(_sources.OMNI)
+    res = sandwich(omni, [F(1), F(3)])
+    assert (res.cap, res.inferred_alpha_s) == (F(2), F(2))
+    assert [row.lower for row in res.rows] == [F(1), F(2)]
+    sandwich(example1, [F(1)])
+    assert calls == [omni, example1]
 
 
 def test_sandwich_crossed_bounds_detected(example1, monkeypatch):

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from skalc.source_model import parse_rational, parse_source
 from skalc.two_user import run_sweep
 
 import _sources
+from _benchmark import benchmark_jobs
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +109,48 @@ def test_sandwich_without_upper_not_all_tight(capsys, write_source):
     code, out, _ = run_cli(capsys, "sandwich", path, "--grid", "2")
     assert code == 0
     assert out.strip().splitlines()[1] == "2,3/2,2,0"
+
+
+def test_sandwich_serves_pairwise_sources_past_the_lower_bound_caps(capsys, write_source):
+    # A 9-user ring of unit edges has strength 9/8 and 30 unit edges on 5
+    # users (each pair three times) 15/2; the lower curve is
+    # min(alpha / (n - 1), strength).  The LP's caps still hold elsewhere.
+    ring = _sources.hg([str(i) for i in range(9)],
+                       [(f"e{i}", [str(i), str((i + 1) % 9)], 1) for i in range(9)])
+    code, out, err = run_cli(capsys, "sandwich", write_source(ring), "--grid", "0:10:5")
+    assert (code, err) == (0, "")
+    assert out == "alpha,lower,upper,tight\n0,0,0,1\n5,5/8,9/8,0\n10,9/8,9/8,1\n"
+    triple = _sources.hg("01234", [(f"e{i}{j}{k}", [str(i), str(j)], 1)
+                                   for i in range(5) for j in range(i + 1, 5) for k in range(3)])
+    assert len(triple["edges"]) == 30
+    code, out, err = run_cli(capsys, "sandwich", write_source(triple), "--grid", "0:32:16")
+    assert (code, err) == (0, "")
+    assert out == "alpha,lower,upper,tight\n0,0,0,1\n16,4,15/2,0\n32,15/2,15/2,1\n"
+    tall = _sources.random_hypergraph(random.Random(9), n_users=9, n_edges=10)
+    code, out, err = run_cli(capsys, "sandwich", write_source(tall), "--grid", "0:1:1")
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap: 9 users exceed the lower-bound cap 8")
+
+
+def test_sandwich_stdout_on_the_benchmark_pools_is_pinned(capsys, write_source):
+    # The first two template cycles of the seed-1 and seed-2 pools; each
+    # pairwise job also runs without its --cs-upper curve.
+    pinned = json.loads((Path(__file__).parent / "sandwich_stdout.json").read_text(
+        encoding="utf-8"))
+    cases = {f"{seed}/{job.group}": job
+             for seed in (1, 2) for job in benchmark_jobs("budget-curves", cycles=2, seed=seed)}
+    assert cases.keys() == pinned.keys()
+    for case, job in cases.items():
+        src = write_source(job.source, "pool.json")
+        for name, data in job.files.items():
+            write_source(data, f"pool.{name}")
+        argv = [a.format(src=src, stem=src.removesuffix(".json")) for a in job.argv]
+        runs = {"stdout": argv}
+        if "--cs-upper" in argv:
+            runs["stdout_without_cs_upper"] = argv[:-2]
+        assert runs.keys() == pinned[case].keys(), case
+        for key, run in runs.items():
+            assert run_cli(capsys, *run) == (0, pinned[case][key], ""), (case, key)
 
 
 @pytest.mark.parametrize("grid", ["4:0:1", "0:4:0", "0:4:-1", "1:2", "a:b:c", "0:200:1/100"])

@@ -54,6 +54,23 @@ def test_unconstrained_capacity(example1, triangle):
     assert unconstrained_capacity(triangle) == F(3, 2)
 
 
+@pytest.mark.parametrize("n", [9, 10])
+def test_unconstrained_capacity_serves_up_to_the_omniscience_cap(n):
+    # An n-user ring of unit pairs under one bit all users share: the shared
+    # bit adds 1 to every partition's information and the ring its strength
+    # n / (n - 1), so mmi = H(V) - rco with H(V) = n + 1.  Then a random
+    # n-user draw with n + 3 edges.
+    users = [str(i) for i in range(n)]
+    ring = parse_source(_sources.hg(users, [("all", users, 1)] + [
+        (f"e{i}", [users[i], users[(i + 1) % n]], 1) for i in range(n)]))
+    assert unconstrained_capacity(ring) == 1 + F(n, n - 1)
+    assert rco(ring).value == n - F(n, n - 1)
+    drawn = parse_source(_sources.random_hypergraph(random.Random(n), n_users=n, n_edges=n + 3))
+    value = unconstrained_capacity(drawn)
+    assert value == mmi(drawn, cap=n).value
+    assert value == entropy(drawn, drawn.users) - rco(drawn).value
+
+
 def test_capacity_complements_discussion():
     rng = random.Random(41)
     for _ in range(30):

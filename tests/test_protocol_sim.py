@@ -55,12 +55,17 @@ def _random_scheme(rng, inst, key_rows):
     return LinearScheme(m, tuple(transcript), key)
 
 
+def _edge_bits(inst, e):
+    """The bit positions of edge ``e``: w_e * n of them from its offset."""
+    return range(inst.offsets[e], inst.offsets[e] + int(inst.source.weights[e]) * inst.n)
+
+
 def _oracle_trees(packed):
     """The old k = 1, 2, ... packing loop on the scheme's element list."""
     inst = packed.instance
     elements = []
     for e, inc in enumerate(inst.source.incidence):
-        elements.extend([tuple(sorted(inc))] * len(inst.edge_bits(e)))
+        elements.extend([tuple(sorted(inc))] * len(_edge_bits(inst, e)))
     trees = _oracle.max_spanning_tree_packing(len(inst.source.users), elements)
     return tuple(tuple(sorted(t)) for t in trees)
 
@@ -69,8 +74,8 @@ def test_instance_layout(triangle):
     inst = BitSourceInstance(triangle, 2)
     assert inst.total_bits == 6
     assert inst.offsets == (0, 2, 4)
-    assert inst.edge_bits(0) == range(0, 2)
-    assert inst.edge_bits(2) == range(4, 6)
+    assert _edge_bits(inst, 0) == range(0, 2)
+    assert _edge_bits(inst, 2) == range(4, 6)
     assert inst.user_mask("1") == 0b001111
     assert inst.user_mask("3") == 0b111100
 
@@ -371,6 +376,24 @@ def test_binning_achieved_matches_oracle(seed, n, blocklength, scale):
     assert binned.achieved == _oracle.omniscience_reached(binned.instance, binned.scheme.transcript)
     assert binned.report == _oracle.verify(binned.instance, binned.scheme)
     assert binned.achieved == all(binned.report.recoverable.values())
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 3),
+       gaps=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 70)), min_size=1, max_size=6))
+def test_random_rows_match_the_per_bit_loop(seed, rows, gaps):
+    # Runs as binning builds them from a user's edges: ascending, possibly
+    # adjacent (gap 0), of any length; the mask is their union.
+    runs, pos, mask = [], 0, 0
+    for gap, length in gaps:
+        pos += gap
+        runs.append((pos, length))
+        mask |= ((1 << length) - 1) << pos
+        pos += length
+    fast, slow = random.Random(seed), random.Random(seed)
+    assert ([protocol_sim._random_row(fast, runs) for _ in range(rows)]
+            == [_oracle.binning_row(slow, mask, pos) for _ in range(rows)])
+    assert fast.getrandbits(64) == slow.getrandbits(64)
 
 
 def test_simulate_stdout_on_the_benchmark_pools_is_pinned(capsys, write_source):
