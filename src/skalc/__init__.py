@@ -47,56 +47,9 @@ def __getattr__(name):
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitSourceInstance",
-    "CapacityCurve",
-    "ChannelWitness",
-    "EdgeRestriction",
-    "HypergraphicalSource",
-    "InternalCheckError",
-    "JointPMF",
-    "LinearScheme",
-    "LowerBoundResult",
-    "LowerBoundWitness",
-    "MmiResult",
-    "PinCurves",
-    "RandomBinning",
-    "RateVector",
-    "RcoResult",
-    "ResourceCapError",
-    "SkalcError",
-    "SweepResult",
-    "TreePacking",
-    "ValidationError",
-    "DualityReport",
-    "alpha_s_lower_bound",
-    "compressed_curve_one_sided",
-    "conditional_entropy",
-    "constant_curve",
-    "constrained_curve_one_way",
-    "duality_check",
-    "duality_upper_bound",
-    "entropy",
-    "gacs_korner",
-    "is_pin",
-    "load_source",
-    "lower_bound_curve",
-    "min_sufficient_statistic",
-    "mmi",
-    "mutual_information",
-    "one_way_complexity",
-    "parse_source",
-    "pin_curves",
-    "pin_strength",
-    "random_binning_omniscience",
-    "rco",
-    "restrict",
-    "run_sweep",
-    "sandwich",
-    "scheme_from_json",
-    "scheme_to_json",
-    "tree_packing_scheme",
-    "unconstrained_capacity",
-    "upper_concave_envelope",
-    "verify",
-    "witness_at",
+    "EdgeRestriction", "HypergraphicalSource", "InternalCheckError", "JointPMF", "MmiResult",
+    "RateVector", "RcoResult", "ResourceCapError", "SkalcError", "ValidationError",
+    "conditional_entropy", "entropy", "gacs_korner", "is_pin", "load_source", "mmi",
+    "parse_source", "pin_strength", "rco", "restrict", "unconstrained_capacity",
+    *_LAZY,
 ]

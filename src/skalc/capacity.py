@@ -4,8 +4,7 @@ The central object is the compressed-secrecy trade-off: the best key rate
 when the users may first reduce their joint observation to at most ``alpha``
 bits of entropy.  For pairwise-shared-bit sources (PINs) the trade-off is
 known exactly and both curves here are closed forms; ``sandwich`` takes its
-lower curve from them on three or more users.  For every other source we
-compute:
+lower curve from them.  For every other source we compute:
 
 * a decremental lower bound: restrict each edge to a retained fraction,
   score the restricted source by its partition-based mutual information,
@@ -71,7 +70,7 @@ LB_USER_CAP = 8
 
 @dataclass(frozen=True)
 class PinCurves:
-    """Exact trade-off curves for a pairwise source on >= 3 users."""
+    """Exact trade-off curves for a pairwise source."""
 
     compressed: CapacityCurve
     constrained: CapacityCurve
@@ -80,29 +79,25 @@ class PinCurves:
     r_s: Fraction
 
 
+def _saturating(x_sat: Fraction, cap: Fraction) -> CapacityCurve:
+    """The curve min(x * cap / x_sat, cap); the single point (0, cap) when it
+    is at its cap from x = 0."""
+    zero = Fraction(0)
+    return CapacityCurve(((zero, cap),) if x_sat == 0 else ((zero, zero), (x_sat, cap)))
+
+
 def pin_curves(source: HypergraphicalSource) -> PinCurves:
     """Closed-form curves min(alpha/(n-1), cap) and min(R/(n-2), cap).
 
-    Requires a PIN on at least three users; with two users the one-way
-    two_user module covers the trade-off instead.
+    With two users r_s = 0: the constrained curve is flat at the cap.
     """
     if not is_pin(source):
         raise ValidationError("pin_curves needs a source with all edges on exactly two users")
     n = len(source.users)
-    if n < 3:
-        raise ValidationError(
-            "constrained curve is degenerate for two users; use the two_user module"
-        )
     cap = pin_strength(source)
     alpha_s = (n - 1) * cap
     r_s = (n - 2) * cap
-    zero = Fraction(0)
-    if cap == 0:
-        flat = CapacityCurve(((zero, zero),))
-        return PinCurves(flat, flat, cap, alpha_s, r_s)
-    compressed = CapacityCurve(((zero, zero), (alpha_s, cap)))
-    constrained = CapacityCurve(((zero, zero), (r_s, cap)))
-    return PinCurves(compressed, constrained, cap, alpha_s, r_s)
+    return PinCurves(_saturating(alpha_s, cap), _saturating(r_s, cap), cap, alpha_s, r_s)
 
 
 @dataclass(frozen=True)
@@ -361,10 +356,10 @@ def sandwich(
     """Evaluate the best lower and upper bounds on the compressed capacity.
 
     lower = max(decremental curve, common-part floor); upper = min(budget,
-    cap, transferred discussion-rate bound).  On a pairwise source with
-    three or more users the decremental curve is the exact closed form
-    ``pin_curves(source).compressed``, so ``LB_USER_CAP`` and ``EDGE_CAP``
-    bound only the cutting-plane LP of the other sources.  Rows are flagged
+    cap, transferred discussion-rate bound).  On a pairwise source the
+    decremental curve is the exact closed form ``pin_curves(source).compressed``,
+    so ``LB_USER_CAP`` and ``EDGE_CAP`` bound only the cutting-plane LP of the
+    other sources.  Rows are flagged
     tight where they coincide (exactly in rational arithmetic, to 1e-9 when
     a float curve is supplied).
     """
@@ -373,7 +368,7 @@ def sandwich(
     alphas = [Fraction(alpha) for alpha in alphas]
     if min(alphas) < 0:
         raise ValidationError("grid budgets must be nonnegative")
-    if isinstance(source, HypergraphicalSource) and is_pin(source) and len(source.users) >= 3:
+    if is_pin(source):
         curve = pin_curves(source).compressed
     else:
         curve = lower_bound_curve(source).curve

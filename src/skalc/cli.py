@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mmi", help="multivariate interaction and finest optimal partition")
     p.add_argument("source")
     p.add_argument("--cap", type=int, default=DEFAULT_USER_CAP,
-                   help="largest user count to accept (hard limit 12)")
+                   help="largest user count to accept, from 2 to the hard limit 12")
     p.set_defaults(fn=_cmd_mmi)
 
     p = sub.add_parser("rco", help="minimal total discussion for omniscience")

@@ -8,13 +8,16 @@ out cycling.
 The arithmetic is fraction-free (Edmonds 1967; Bareiss 1968).  Each
 constraint row and its right-hand side are scaled by the lcm of their
 denominators, the objective likewise, and the tableau is kept as Python
-ints over one positive common denominator d.  A pivot leaves the pivot row
-as it is, replaces every other row (objective included) by
+ints over one positive common denominator d; inputs are ints or
+``Fraction``s, and callers lift any float themselves.  A pivot leaves the
+pivot row as it is, replaces every other row (objective included) by
 (row * piv - row[enter] * pivot_row) // d, which divides exactly, and sets
 d = piv.  Positive row scaling changes neither the signs of the reduced
 costs nor the order of the ratios, so the pivot sequence is the one Bland's
 rule takes on the unscaled rational tableau.  ``Fraction`` appears only in
-the returned solution; results are exact.
+the returned solution; results are exact.  The optimal value is read off the
+objective row's right-hand side, which holds -value * d * k_c for the
+objective scale k_c.
 
 The solution carries the constraint duals, read off the final reduced costs
 of the slack columns.  For this minimization form each dual is <= 0 and
@@ -42,10 +45,6 @@ class LpSolution:
     duals: tuple[Fraction, ...]
 
 
-def _exact(v):
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
-
-
 def _over_lcm(values) -> tuple[list[int], int]:
     """Ints k * v for exact values v, with k the lcm of their denominators."""
     k = math.lcm(*(v.denominator for v in values))
@@ -53,17 +52,16 @@ def _over_lcm(values) -> tuple[list[int], int]:
 
 
 def simplex_min(
-    c: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
+    c: Sequence[int | Fraction],
+    rows: Sequence[Sequence[int | Fraction]],
+    rhs: Sequence[int | Fraction],
 ) -> LpSolution:
     """Minimize c.x over {A x <= b, x >= 0}; requires b >= 0."""
     n = len(c)
     m = len(rows)
     if len(rhs) != m or any(len(r) != n for r in rows):
         raise ValidationError("inconsistent LP dimensions")
-    b = [_exact(v) for v in rhs]
-    if any(v < 0 for v in b):
+    if any(v < 0 for v in rhs):
         raise ValidationError("simplex_min needs nonnegative right-hand sides")
 
     # Tableau columns: n structural, m slack, then the rhs.  Row i is scaled
@@ -72,12 +70,12 @@ def simplex_min(
     tab = []
     scales = []
     for i, row in enumerate(rows):
-        ints, k = _over_lcm([*map(_exact, row), b[i]])
+        ints, k = _over_lcm([*row, rhs[i]])
         line = ints[:n] + [0] * m + ints[n:]
         line[n + i] = 1
         tab.append(line)
         scales.append(k)
-    obj, k_c = _over_lcm([_exact(v) for v in c])
+    obj, k_c = _over_lcm(c)
     obj += [0] * (m + 1)
     basis = list(range(n, n + m))
     d = 1
@@ -128,8 +126,7 @@ def simplex_min(
     for i, var in enumerate(basis):
         if var < n:
             x[var] = Fraction(tab[i][last], d)
-    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
     # Reduced cost of slack i is -dual_i (slack has zero objective weight);
     # undo the row, slack and objective scaling.
     duals = tuple(Fraction(-obj[n + i] * k, d * k_c) for i, k in enumerate(scales))
-    return LpSolution(value, tuple(x), duals)
+    return LpSolution(Fraction(-obj[last], d * k_c), tuple(x), duals)

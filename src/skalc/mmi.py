@@ -146,10 +146,12 @@ def mmi(source: SourceSpec, cap: int = DEFAULT_USER_CAP) -> MmiResult:
     tie tolerance for pmfs.  ``minimizers`` come in the restricted-growth
     order of ``iter_partitions``.  Raises ResourceCapError when the user
     count exceeds ``cap`` (hard maximum 12: the pmf enumeration is
-    Bell-number sized).
+    Bell-number sized), and ValidationError for a cap outside 2..12.
     """
     if cap > HARD_USER_CAP:
         raise ValidationError(f"cap {cap} exceeds hard maximum {HARD_USER_CAP}")
+    if cap < 2:
+        raise ValidationError(f"cap {cap} admits no source: every source has two or more users")
     n = len(source.users)
     if n > cap:
         raise ResourceCapError(f"{n} users exceed partition enumeration cap {cap}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mmi import mmi as _mmi
+from .mmi import _principal_partition, mmi as _mmi
 from .errors import InternalCheckError, ResourceCapError
 from .lp import simplex_min
 from .source_model import HypergraphicalSource, SourceSpec, entropy, entropy_table
@@ -55,10 +55,11 @@ def rco(source: SourceSpec) -> RcoResult:
     exact = isinstance(source, HypergraphicalSource)
     full = (1 << n) - 1
     masks = range(1, full)
-    # H(Z_B | Z_{V \ B}) = H(V) - H(V \ B), from one table of all user sets.
+    # H(Z_B | Z_{V \ B}) = H(V) - H(V \ B), from one table of all user sets,
+    # in the table's units: ints over D for hypergraphs, each pmf float
+    # lifted once.  The LP and its certificate run in these units.
     table = entropy_table(source)
-    scale = source.denominator if exact else 1
-    h = [Fraction(table[full] - table[full ^ mask]) / scale for mask in masks]
+    h = [Fraction(table[full] - table[full ^ mask]) for mask in masks]
 
     # Dual program: maximize h.y with, per user i, sum over subsets containing
     # i of y_B at most 1.  Feasible at y = 0, so a single simplex phase runs.
@@ -82,25 +83,27 @@ def rco(source: SourceSpec) -> RcoResult:
         if got[mask] < hv:
             raise InternalCheckError(f"omniscience witness violates subset {mask:b}")
 
-    if exact:
-        witness = RateVector({u: rates[i] for i, u in enumerate(source.users)})
-        return RcoResult(value, witness)
-    witness = RateVector({u: float(rates[i]) for i, u in enumerate(source.users)})
-    return RcoResult(float(value), witness)
+    def bits(v):  # out of the table's units
+        return Fraction(v, source.denominator) if exact else float(v)
+
+    witness = RateVector({u: bits(r) for u, r in zip(source.users, rates)})
+    return RcoResult(bits(value), witness)
 
 
 def unconstrained_capacity(source: SourceSpec) -> Fraction | float:
     """Key rate with unlimited discussion: the partition-based MI.
 
-    Computed as mmi(source) and asserted against H(Z_V) - rco(source), two
-    independent routes that must agree (exactly for rational sources, to
-    1e-9 for pmfs).
+    Asserted against H(Z_V) - rco(source), two independent routes that must
+    agree (exactly for rational sources, to 1e-9 for pmfs).  A hypergraph's
+    mmi is the Newton value of its principal partition, so no coarsening of
+    P* is scored; a pmf's comes from the partition search.
     """
-    result = _mmi(source, cap=RCO_USER_CAP)
     via_rco = entropy(source, source.users) - rco(source).value
-    tolerance = 0 if isinstance(source, HypergraphicalSource) else 1e-9
-    if abs(via_rco - result.value) > tolerance:
-        raise InternalCheckError(
-            f"duality gap: H - rco = {via_rco} but partition search gives {result.value}"
-        )
-    return result.value
+    if isinstance(source, HypergraphicalSource):
+        p, q, _ = _principal_partition(source)
+        value, tolerance = Fraction(p, q * source.denominator), 0
+    else:
+        value, tolerance = _mmi(source, cap=RCO_USER_CAP).value, 1e-9
+    if abs(via_rco - value) > tolerance:
+        raise InternalCheckError(f"duality gap: H - rco = {via_rco} but mmi is {value}")
+    return value

@@ -55,12 +55,19 @@ def test_pin_curves_star(star):
 
 
 def test_pin_curves_rejects(example1, intro_pmf):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="exactly two users"):
         pin_curves(example1)
-    with pytest.raises(ValidationError, match="two"):
-        pin_curves(parse_source(_sources.hg("12", [("e", "12", 1)])))
     with pytest.raises(ValidationError):
         pin_curves(intro_pmf)
+
+
+def test_pin_curves_two_users():
+    # Parallel edges of 1 and 1/2: r_s = 0, so the constrained curve sits at
+    # the cap from R = 0 on; the compressed one is min(alpha, cap).
+    curves = pin_curves(parse_source(_sources.hg("12", [("e", "12", 1), ("f", "12", F(1, 2))])))
+    assert (curves.cap, curves.alpha_s, curves.r_s) == (F(3, 2), F(3, 2), F(0))
+    assert curves.compressed.points == ((F(0), F(0)), (F(3, 2), F(3, 2)))
+    assert curves.constrained.points == ((F(0), F(3, 2)),)
 
 
 def test_pin_curves_disconnected_flat():
@@ -432,16 +439,20 @@ def _no_lp(source):
 
 def test_sandwich_reads_pairwise_sources_off_the_closed_form(monkeypatch):
     # The pairwise sources of the seed-1 pool cycle, 100 random ones on 3-7
-    # users (rational weights, parallel pairs) and disconnected draws: the
-    # closed form gives the rows, cap, floor and saturation budget the LP
-    # gives, with and without the exact constrained curve as upper bound.
+    # users (rational weights, parallel pairs), disconnected draws and
+    # two-user ones: the closed form gives the rows, cap, floor and
+    # saturation budget the LP gives, with and without the exact constrained
+    # curve as upper bound.
     rng = random.Random(24)
     sources = [parse_source(job.source) for job in benchmark_jobs("budget-curves", cycles=1)
                if "pin_cap" in job.params]
     sources += [parse_source(_sources.random_connected_pin(rng, n_users=rng.randint(3, 7)))
                 for _ in range(100)]
     sources += [parse_source(_disconnected_pin(rng)) for _ in range(10)]
-    assert len(sources) == 116
+    sources += [parse_source(_sources.OMNI)]
+    sources += [parse_source(_sources.random_connected_pin(rng, n_users=2)) for _ in range(10)]
+    assert len(sources) == 127
+    assert sum(len(src.users) == 2 for src in sources) == 11
     assert any(len(set(src.incidence)) < len(src.incidence) for src in sources)
     assert sum(pin_curves(src).cap == 0 for src in sources) == 10
 
@@ -455,17 +466,18 @@ def test_sandwich_reads_pairwise_sources_off_the_closed_form(monkeypatch):
     assert [sandwich(*case) for case in cases] == via_lp
 
 
-def test_sandwich_keeps_the_lp_on_two_users_and_hypergraphs(example1, monkeypatch):
+def test_sandwich_keeps_the_lp_on_hypergraphs(example1, monkeypatch):
     calls = []
     real = capacity.lower_bound_curve
     monkeypatch.setattr(capacity, "lower_bound_curve",
                         lambda source: calls.append(source) or real(source))
-    omni = parse_source(_sources.OMNI)
-    res = sandwich(omni, [F(1), F(3)])
+    # Two users, but the private edge makes the source no longer pairwise.
+    lopsided = parse_source(_sources.hg("12", [("all", "12", 2), ("own", "1", 1)]))
+    res = sandwich(lopsided, [F(1), F(3)])
     assert (res.cap, res.inferred_alpha_s) == (F(2), F(2))
     assert [row.lower for row in res.rows] == [F(1), F(2)]
     sandwich(example1, [F(1)])
-    assert calls == [omni, example1]
+    assert calls == [lopsided, example1]
 
 
 def test_sandwich_crossed_bounds_detected(example1, monkeypatch):

@@ -37,6 +37,13 @@ def test_mmi_json(capsys, write_source):
     assert data == {"mmi": "2", "finest": [["1"], ["2"], ["3"]], "minimizers": 3}
 
 
+@pytest.mark.parametrize("cap", ["1", "0", "-1"])
+def test_mmi_cap_below_two_is_invalid_input(capsys, write_source, cap):
+    code, out, err = run_cli(capsys, "mmi", write_source(_sources.TRIANGLE), "--cap", cap)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cap {cap} admits no source")
+
+
 def test_outputs_are_reproducible(capsys, write_source):
     path = write_source(_sources.EXAMPLE1)
     outs = set()
@@ -81,6 +88,14 @@ def test_capacity_serves_pairwise_sources_past_eight_users(capsys, write_source)
     assert json.loads(out) == {"cap": "9/8", "alpha_s": "9", "r_s": "63/8",
                                "compressed": [["0", "0"], ["9", "9/8"]],
                                "constrained": [["0", "0"], ["63/8", "9/8"]]}
+
+
+def test_capacity_serves_two_user_pairwise_sources(capsys, write_source):
+    code, out, err = run_cli(capsys, "capacity", write_source(_sources.OMNI))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"cap": "2", "alpha_s": "2", "r_s": "0",
+                               "compressed": [["0", "0"], ["2", "2"]],
+                               "constrained": [["0", "2"]]}
 
 
 def test_capacity_rejects_non_pin(capsys, write_source):
@@ -516,5 +531,6 @@ def test_exports_resolve_and_lazy_names_are_exported():
     import skalc
 
     assert set(skalc._LAZY) <= set(skalc.__all__)
+    assert len(set(skalc.__all__)) == len(skalc.__all__)
     for name in skalc.__all__:
         getattr(skalc, name)

@@ -73,8 +73,9 @@ def _assert_hypergraph_table(src):
 
 
 def _assert_constraints_match(src, monkeypatch):
-    """rco's LP objective is minus its constraint vector, one entry per
-    proper subset in mask order."""
+    """rco's LP objective is minus its constraint vector in the entropy
+    table's units, one entry per proper subset in mask order: D times
+    H(B | rest) for a hypergraph over D, the lifted float for a pmf."""
     seen = []
     real = skalc.omniscience.simplex_min
 
@@ -87,9 +88,10 @@ def _assert_constraints_match(src, monkeypatch):
         rco(src)
     (c,) = seen
     masks = range(1, (1 << len(src.users)) - 1)
+    scale = src.denominator if isinstance(src, HypergraphicalSource) else 1
     assert len(c) == len(masks)
     for cb, mask in zip(c, masks):
-        assert -cb == F(conditional_entropy(src, _users_of(src, mask)))
+        assert -cb == F(conditional_entropy(src, _users_of(src, mask))) * scale
 
 
 @pytest.mark.parametrize("name", HYPERGRAPH_FIXTURES)

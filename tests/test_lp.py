@@ -117,6 +117,7 @@ def test_matches_fraction_oracle_on_library_lps(monkeypatch, name):
 
     def checked(c, rows, rhs):
         calls.append(len(rows))
+        assert all(type(v) in (int, F) for v in (*c, *rhs, *(a for row in rows for a in row)))
         return _assert_same_as_oracle(c, rows, rhs)
 
     monkeypatch.setattr(capacity, "simplex_min", checked)

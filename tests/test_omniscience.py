@@ -1,10 +1,13 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from skalc import omniscience
+from skalc.cli import main
 from skalc.errors import InternalCheckError
 from skalc.lp import LpSolution
 from skalc.mmi import mmi
@@ -12,6 +15,7 @@ from skalc.omniscience import RcoResult, rco, unconstrained_capacity
 from skalc.source_model import conditional_entropy, entropy, parse_source
 
 import _sources
+from _benchmark import benchmark_jobs
 
 
 def _assert_feasible(source, rates):
@@ -54,7 +58,7 @@ def test_unconstrained_capacity(example1, triangle):
     assert unconstrained_capacity(triangle) == F(3, 2)
 
 
-@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_unconstrained_capacity_serves_up_to_the_omniscience_cap(n):
     # An n-user ring of unit pairs under one bit all users share: the shared
     # bit adds 1 to every partition's information and the ring its strength
@@ -134,3 +138,17 @@ def test_unconstrained_capacity_duality_gap_fires(monkeypatch, request, fixture,
     monkeypatch.setattr(omniscience, "rco", off(shift))
     with pytest.raises(InternalCheckError, match="duality gap"):
         unconstrained_capacity(src)
+
+
+def test_rco_stdout_on_the_benchmark_pools_is_pinned(capsys, write_source):
+    pinned = json.loads((Path(__file__).parent / "rco_exact_partition_stdout.json").read_text(
+        encoding="utf-8"))
+    cases = {f"{seed}/{job.group}": job.source
+             for seed in (1, 2) for job in benchmark_jobs("exact-partition", seed=seed)
+             if job.kind == "rco"}
+    assert cases.keys() == pinned.keys()
+    for case, data in cases.items():
+        assert main(["rco", write_source(data, "pool.json")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == pinned[case], case
+        assert captured.err == ""
