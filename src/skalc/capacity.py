@@ -21,7 +21,8 @@ lower curve from them.  For every other source we compute:
 * a floor from the common part all users share outright, and
 * an upper bound transferred from any valid bound on the
   rate-constrained capacity via the budget-splitting inequality
-  tC(alpha) <= C(alpha - tC(alpha)).
+  tC(alpha) <= C(alpha - tC(alpha)), in closed form per line of the
+  concave bound, which is the minimum of the lines through its pieces.
 
 ``sandwich`` evaluates all of these on a grid and flags where the bounds
 pinch.
@@ -286,12 +287,24 @@ def witness_at(result: LowerBoundResult, alpha: Fraction) -> LowerBoundWitness:
     )
 
 
+def _lines(curve: CapacityCurve):
+    """(x, y, slope) of each piece of the curve, the flat tail last; on
+    x >= 0 the concave curve is the minimum of these lines.  A float curve
+    may fall within its tolerance; such a piece counts as flat."""
+    pts = curve.points
+    pieces = [(x1, y1, max((y2 - y1) / (x2 - x1), 0))
+              for (x1, y1), (x2, y2) in zip(pts, pts[1:])]
+    return pieces + [(*pts[-1], 0)]
+
+
 def duality_upper_bound(cs_upper: CapacityCurve, cap, alpha):
     """Largest g in [0, min(alpha, cap)] with g <= cs_upper(alpha - g).
 
     Splitting the entropy budget between the key and the discussion turns
     any valid bound on the rate-constrained capacity into a budget-domain
-    bound.  The crossing is solved exactly on the piecewise-linear curve.
+    bound.  With cs_upper the minimum of its lines y + s (x - x0), the
+    condition is g <= (y + s (alpha - x0)) / (1 + s) for every line, so
+    below min(alpha, cap) the bound is the least of these.
     """
     if alpha < 0:
         raise ValidationError("budget must be nonnegative")
@@ -300,36 +313,20 @@ def duality_upper_bound(cs_upper: CapacityCurve, cap, alpha):
         return hi * 0
     if hi <= cs_upper.value_at(alpha - hi):
         return hi
-    # g -> U(alpha - g) - g strictly decreases, is >= 0 at g = 0 and < 0 at
-    # hi, so a unique crossing lies in one linear piece of the curve.
-    candidates = {alpha - x for x, _ in cs_upper.points}
-    grid = sorted({g for g in candidates if 0 < g < hi} | {hi * 0, hi})
-    lo = grid[0]
-    for g in grid[1:]:
-        if g <= cs_upper.value_at(alpha - g):
-            lo = g
-        else:
-            u_lo = cs_upper.value_at(alpha - lo)
-            u_hi = cs_upper.value_at(alpha - g)
-            slope = (u_hi - u_lo) / (g - lo)
-            crossing = (u_lo - slope * lo) / (1 - slope)
-            return crossing
-    raise InternalCheckError("no crossing found for the duality bound")
+    return min((y + s * (alpha - x)) / (1 + s) for x, y, s in _lines(cs_upper))
 
 
 def alpha_s_lower_bound(cs_upper: CapacityCurve, cap):
     """Bound r_s + cap on the budget needed to saturate, where r_s is the
-    smallest rate at which the supplied curve reaches the cap.  None when the
-    curve never gets there."""
+    smallest rate at which the supplied curve reaches the cap: its first x
+    when it starts there, else the largest x at which one of its rising
+    lines does.  None when the curve never gets there."""
     if cs_upper.cap() < cap:
         return None
-    for (x1, y1), (x2, y2) in zip(cs_upper.points, cs_upper.points[1:]):
-        if y2 >= cap:
-            slope = (y2 - y1) / (x2 - x1)
-            r_sat = x1 if y1 >= cap else x1 + (cap - y1) / slope
-            return r_sat + cap
-    # single breakpoint curve already at cap
-    return cs_upper.points[0][0] + cap
+    x0, y0 = cs_upper.points[0]
+    if y0 >= cap:
+        return x0 + cap
+    return max(x + (cap - y) / s for x, y, s in _lines(cs_upper) if s > 0) + cap
 
 
 @dataclass(frozen=True)
@@ -379,20 +376,18 @@ def sandwich(
     rows = []
     for alpha in alphas:
         lower = max(curve.value_at(alpha), min(alpha, jgk))
-        upper = min(alpha, cap)
-        if cs_upper is not None:
-            bound = duality_upper_bound(cs_upper, cap, alpha)
-            exact = isinstance(lower, Fraction) and isinstance(bound, Fraction)
-            if bound - lower < (0 if exact else -1e-9):
+        upper = (min(alpha, cap) if cs_upper is None
+                 else duality_upper_bound(cs_upper, cap, alpha))
+        # lower is exact, so only a float cs_upper curve needs a tolerance.
+        tol = 0 if isinstance(upper, Fraction) else 1e-9
+        gap = upper - lower
+        if gap < -tol:
+            if cs_upper is not None:
                 # The supplied curve is the only input that can put the upper
                 # bound below a lower bound the library proved.
                 raise ValidationError(
                     f"the cs_upper curve is not an upper bound: at alpha={alpha} it "
-                    f"bounds the key rate by {bound}, below the lower bound {lower}")
-            upper = min(upper, bound)
-        exact = isinstance(lower, Fraction) and isinstance(upper, Fraction)
-        gap = upper - lower
-        if gap < (0 if exact else -1e-9):
+                    f"bounds the key rate by {upper}, below the lower bound {lower}")
             raise InternalCheckError(f"bounds crossed at alpha={alpha}: {lower} > {upper}")
-        rows.append(SandwichRow(alpha, lower, upper, gap <= (0 if exact else 1e-9)))
+        rows.append(SandwichRow(alpha, lower, upper, gap <= tol))
     return SandwichResult(tuple(rows), cap, jgk, curve.saturation_x())

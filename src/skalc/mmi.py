@@ -259,7 +259,7 @@ def pin_strength(source: HypergraphicalSource) -> Fraction:
     the graph is disconnected.  It is the Newton value of the principal
     partition, with no user cap and no partition enumeration.
     """
-    if not isinstance(source, HypergraphicalSource) or not is_pin(source):
+    if not is_pin(source):
         raise ValidationError("pin_strength needs a source with all edges on exactly two users")
     p, q, _ = _principal_partition(source)
     return Fraction(p, q * source.denominator)

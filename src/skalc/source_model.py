@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -49,6 +50,12 @@ __all__ = [
 PMF_SUPPORT_CAP = 100_000
 
 
+# Python reads and prints an int of at most this many decimal digits; the
+# constant stands in for sys.get_int_max_str_digits, new in 3.10.7.
+_MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
+
+
 def parse_rational(value) -> Fraction:
     """Parse an integer, or a string like ``"3"`` or ``"5/4"``, to a Fraction."""
     if isinstance(value, bool):
@@ -57,6 +64,13 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            # Fraction() builds 10**exponent first: the mantissa digits plus
+            # the exponent bound the digits of the result.
+            exponent = _EXPONENT.search(value)
+            if exponent and abs(int(exponent[1])) + sum(
+                    map(str.isdigit, value[:exponent.start()])) > _MAX_DIGITS:
+                raise ValidationError(f"rational literal {value[:40]!r} has more than "
+                                      f"{_MAX_DIGITS} digits")
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational literal {value!r}") from exc
@@ -65,10 +79,11 @@ def parse_rational(value) -> Fraction:
 
 def format_number(value) -> str:
     """Serialize a number: rationals as ``p/q`` strings, floats to 12 significant digits."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
+    if isinstance(value, (Fraction, int)):
+        try:
+            return str(value)
+        except ValueError:  # past _MAX_DIGITS
+            raise ResourceCapError(f"a result has more than {_MAX_DIGITS} digits") from None
     return format(float(value), ".12g")
 
 
@@ -244,6 +259,8 @@ def _parse_hypergraph(data: dict) -> HypergraphicalSource:
         on = entry.get("on")
         if not isinstance(on, list) or not on:
             raise ValidationError(f"edge {eid!r}: 'on' must be a non-empty list")
+        if not all(isinstance(u, str) for u in on):
+            raise ValidationError(f"edge {eid!r}: 'on' must list user ids as strings")
         try:
             inc = frozenset(index[u] for u in on)
         except KeyError as exc:
@@ -397,10 +414,10 @@ def conditional_entropy(source: SourceSpec, group: Iterable[str]) -> Fraction | 
 
 
 def is_pin(source: SourceSpec) -> bool:
-    """True when every edge is incident to exactly two users."""
-    if not isinstance(source, HypergraphicalSource):
-        raise ValidationError("is_pin applies to hypergraphical sources")
-    return all(len(inc) == 2 for inc in source.incidence)
+    """True when every edge is incident to exactly two users; False for a
+    pmf, which has no edges."""
+    return isinstance(source, HypergraphicalSource) and all(
+        len(inc) == 2 for inc in source.incidence)
 
 
 def _gacs_korner_pmf(source: JointPMF) -> float:

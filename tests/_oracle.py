@@ -18,6 +18,12 @@ from the restricted growth strings.  ``best_restriction`` is the
 ``Fraction`` cutting-plane loop over those rows, kept unchanged with its
 ``_dot`` separation; the integer loop must add the same cuts.
 
+``duality_upper_bound`` and ``alpha_s_lower_bound`` are the breakpoint
+searches that ``skalc.capacity`` replaced with the minimum over the supplied
+curve's lines, kept unchanged: the crossing g = U(alpha - g) interpolated on
+the piece the breakpoint candidates bracket, and the first piece that
+reaches the cap.
+
 ``Gf2Basis`` and ``complement_units`` are the back-eliminating GF(2) basis
 and its unit-by-unit complement that ``skalc.gf2`` replaced with an echelon
 basis, kept unchanged.  ``max_spanning_tree_packing`` is the packing loop
@@ -67,6 +73,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from skalc.capacity import EDGE_CAP
+from skalc.curves import CapacityCurve
 from skalc.errors import InternalCheckError, ResourceCapError, ValidationError
 from skalc.lp import _MAX_PIVOTS, LpSolution
 from skalc.mmi import (
@@ -482,6 +489,52 @@ def simplex_min(
     # Reduced cost of slack i is -dual_i (slack has zero objective weight).
     duals = tuple(-obj[n + i] for i in range(m))
     return LpSolution(value, tuple(x[:n]), duals)
+
+
+def duality_upper_bound(cs_upper: CapacityCurve, cap, alpha):
+    """Largest g in [0, min(alpha, cap)] with g <= cs_upper(alpha - g).
+
+    Splitting the entropy budget between the key and the discussion turns
+    any valid bound on the rate-constrained capacity into a budget-domain
+    bound.  The crossing is solved exactly on the piecewise-linear curve.
+    """
+    if alpha < 0:
+        raise ValidationError("budget must be nonnegative")
+    hi = min(alpha, cap)
+    if hi <= 0:
+        return hi * 0
+    if hi <= cs_upper.value_at(alpha - hi):
+        return hi
+    # g -> U(alpha - g) - g strictly decreases, is >= 0 at g = 0 and < 0 at
+    # hi, so a unique crossing lies in one linear piece of the curve.
+    candidates = {alpha - x for x, _ in cs_upper.points}
+    grid = sorted({g for g in candidates if 0 < g < hi} | {hi * 0, hi})
+    lo = grid[0]
+    for g in grid[1:]:
+        if g <= cs_upper.value_at(alpha - g):
+            lo = g
+        else:
+            u_lo = cs_upper.value_at(alpha - lo)
+            u_hi = cs_upper.value_at(alpha - g)
+            slope = (u_hi - u_lo) / (g - lo)
+            crossing = (u_lo - slope * lo) / (1 - slope)
+            return crossing
+    raise InternalCheckError("no crossing found for the duality bound")
+
+
+def alpha_s_lower_bound(cs_upper: CapacityCurve, cap):
+    """Bound r_s + cap on the budget needed to saturate, where r_s is the
+    smallest rate at which the supplied curve reaches the cap.  None when the
+    curve never gets there."""
+    if cs_upper.cap() < cap:
+        return None
+    for (x1, y1), (x2, y2) in zip(cs_upper.points, cs_upper.points[1:]):
+        if y2 >= cap:
+            slope = (y2 - y1) / (x2 - x1)
+            r_sat = x1 if y1 >= cap else x1 + (cap - y1) / slope
+            return r_sat + cap
+    # single breakpoint curve already at cap
+    return cs_upper.points[0][0] + cap
 
 
 def partition_coefficients(source: HypergraphicalSource) -> list[tuple[Fraction, ...]]:

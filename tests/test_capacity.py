@@ -27,6 +27,7 @@ from skalc.source_model import (
     _hypergraph_table,
     entropy,
     entropy_table,
+    format_number,
     gacs_korner,
     parse_source,
     restrict,
@@ -359,15 +360,83 @@ def test_gk_floor(example1, triangle, monkeypatch):
 UPPER = CapacityCurve(((F(0), F(1)), (F(1), F(2))))
 
 
-def test_duality_upper_bound():
+def _random_concave_curve(rng):
+    """An exact concave curve from x = 0: a single point, or up to four
+    pieces of non-increasing slopes (a first one up to 12, flat ones
+    included) from an intercept that may be 0."""
+    x, y = F(0), rng.choice((F(0), F(rng.randint(0, 8), rng.randint(1, 3))))
+    points = [(x, y)]
+    slopes = sorted((F(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))),
+                    reverse=True)
+    for slope in slopes:
+        step = F(rng.randint(1, 8), rng.randint(1, 3))
+        x, y = x + step, y + slope * step
+        points.append((x, y))
+    return CapacityCurve(tuple(points))
+
+
+def _closed_form_cases(rng):
+    """(curve, caps, alphas): random curves with caps at 0, at breakpoint
+    heights, at and above the top, and budgets at 0, breakpoints and
+    between; the one-curve cases come first."""
+    yield UPPER, [F(2)], [F(0), F(1, 4), F(1), F(5, 4), F(7, 4), F(3), F(4), F(100)]
+    for _ in range(300):
+        curve = _random_concave_curve(rng)
+        xs = [x for x, _ in curve.points]
+        ys = [y for _, y in curve.points]
+        top = curve.cap()
+        caps = {F(0), rng.choice(ys), top, top + 1, top * F(rng.randint(1, 9), 10)}
+        alphas = {F(0), *(x + c for x in xs for c in (0, rng.choice(ys))),
+                  *(F(rng.randint(1, 80), rng.randint(1, 4)) for _ in range(4))}
+        yield curve, sorted(caps), sorted(alphas)
+
+
+def _float_copy(curve):
+    return CapacityCurve(tuple((float(x), float(y)) for x, y in curve.points))
+
+
+def _search(search, curve, exact, *args):
+    """The search's value, or, where it divides a piece's rise by a float
+    gap that rounded to 0 (a breakpoint candidate within an ulp of
+    min(alpha, cap)), the float of its value on the exact curve."""
+    try:
+        return search(curve, *args)
+    except ZeroDivisionError:
+        assert not curve.exact
+        return float(search(exact, *args))
+
+
+def test_closed_forms_match_the_breakpoint_search():
+    # duality_upper_bound and alpha_s_lower_bound against the searches they
+    # replaced: equal values and types on exact curves; on the float copy
+    # the same types, values to 1e-12 relative and the same printed text.
     assert duality_upper_bound(UPPER, F(2), F(5, 4)) == F(9, 8)
     assert duality_upper_bound(UPPER, F(2), F(0)) == F(0)
     assert duality_upper_bound(UPPER, F(2), F(3)) == F(2)
     assert duality_upper_bound(UPPER, F(2), F(100)) == F(2)
-    # the bound never exceeds the budget or the cap
-    for alpha in (F(1, 4), F(1), F(7, 4), F(4)):
-        got = duality_upper_bound(UPPER, F(2), alpha)
-        assert got <= alpha and got <= F(2)
+    # A float curve may fall by up to 1e-9, here along a piece of slope -1.
+    dip = CapacityCurve(((0.0, 1.0), (2.0 ** -30, 1 - 2.0 ** -30)))
+    assert duality_upper_bound(dip, F(2), F(2)) == _oracle.duality_upper_bound(dip, F(2), F(2))
+    evaluations = Counter()
+    for curve, caps, alphas in _closed_form_cases(random.Random(26)):
+        for cap in caps:
+            for upper in (curve, _float_copy(curve)):
+                pairs = [(alpha_s_lower_bound(upper, cap), _oracle.alpha_s_lower_bound(upper, cap))]
+                pairs += [(duality_upper_bound(upper, cap, alpha),
+                           _search(_oracle.duality_upper_bound, upper, curve, cap, alpha))
+                          for alpha in alphas]
+                for got, want in pairs:
+                    assert type(got) is type(want), (upper, cap, got, want)
+                    if upper.exact or want is None:
+                        assert got == want, (upper, cap)
+                    else:
+                        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (upper, cap)
+                        assert format_number(got) == format_number(want), (upper, cap)
+                    evaluations[upper.exact] += 1
+                for alpha in alphas:
+                    tol = 0 if upper.exact else 1e-12 * (1 + alpha)
+                    assert -tol <= duality_upper_bound(upper, cap, alpha) <= min(alpha, cap) + tol
+    assert min(evaluations.values()) > 10_000
 
 
 def test_alpha_s_lower_bound():

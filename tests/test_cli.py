@@ -168,6 +168,40 @@ def test_sandwich_stdout_on_the_benchmark_pools_is_pinned(capsys, write_source):
             assert run_cli(capsys, *run) == (0, pinned[case][key], ""), (case, key)
 
 
+# Supplied rate-domain curves for the pool sources: three rising pieces and
+# the flat tail, the same points as floats, and a flat curve.
+CS_UPPER_CURVES = {
+    "three-piece": [["0", "1/3"], ["1", "5/3"], ["4", "11/3"], ["10", "13/3"]],
+    "three-piece-float": [[0.0, 1 / 3], [1.0, 5 / 3], [4.0, 11 / 3], [10.0, 13 / 3]],
+    "single-point": [["0", "5/2"]],
+}
+
+
+def _sandwich_cs_upper_runs(capsys, write_source):
+    """(case, result) for every pool source of the first two template cycles
+    at seeds 1 and 2 with each curve of ``CS_UPPER_CURVES`` on the job's grid;
+    the result holds the exit code, stdout and stderr."""
+    for seed in (1, 2):
+        for job in benchmark_jobs("budget-curves", cycles=2, seed=seed):
+            src = write_source(job.source, "pool.json")
+            grid = job.argv[job.argv.index("--grid") + 1]
+            for name, curve in CS_UPPER_CURVES.items():
+                code, out, err = run_cli(capsys, "sandwich", src, "--grid", grid,
+                                         "--cs-upper", write_source(curve, "upper.json"))
+                yield f"{seed}/{job.group}/{name}", {"code": code, "stdout": out, "stderr": err}
+
+
+def test_sandwich_cs_upper_curves_on_the_benchmark_pools_are_pinned(capsys, write_source):
+    # Multi-piece, float and single-point curves, some of them below the
+    # lower bound on the general sources.
+    pinned = json.loads((Path(__file__).parent / "sandwich_cs_upper_stdout.json").read_text(
+        encoding="utf-8"))
+    runs = dict(_sandwich_cs_upper_runs(capsys, write_source))
+    assert runs.keys() == pinned.keys()
+    for case, result in runs.items():
+        assert result == pinned[case], case
+
+
 @pytest.mark.parametrize("grid", ["4:0:1", "0:4:0", "0:4:-1", "1:2", "a:b:c", "0:200:1/100"])
 def test_bad_grids_rejected(capsys, write_source, grid):
     path = write_source(_sources.EXAMPLE1)
@@ -369,6 +403,98 @@ def test_unreadable_json_file_exits_2(capsys, write_source, tmp_path, case, role
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: invalid JSON in {bad}:")
+
+
+def _triangle_with(**fields):
+    """TRIANGLE with fields of its first edge replaced."""
+    first, *rest = _sources.TRIANGLE["edges"]
+    return {**_sources.TRIANGLE, "edges": [{**first, **fields}, *rest]}
+
+
+def _bit_pmf_with(row):
+    """BIT_PMF with its first table row replaced."""
+    return {**_sources.BIT_PMF, "table": [row, *_sources.BIT_PMF["table"][1:]]}
+
+
+# Python reads and prints no int of more than 4,300 digits, and Fraction()
+# builds 10**exponent before it returns.
+DIGIT_LIMIT_FAULTS = {
+    "bits-4300-digits": _triangle_with(bits="1e-4300"),
+    "bits-huge-exponent": _triangle_with(bits="1e-100000000"),
+    "bits-long-exponent": _triangle_with(bits="1e" + "9" * 5000),
+}
+# Sources every command rejects.
+FAULTY_SOURCES = {
+    "on-list-entry": _triangle_with(on=[["1"], "2"]),
+    "on-int-entry": _triangle_with(on=[1, 2]),
+    **DIGIT_LIMIT_FAULTS,
+    "bits-float": _triangle_with(bits=0.5),
+    "bits-list": _triangle_with(bits=["1"]),
+    "bits-nan": _triangle_with(bits="nan"),
+    "bits-inf": _triangle_with(bits="inf"),
+    "bits-json-nan": _triangle_with(bits=math.nan),
+    "bits-json-inf": _triangle_with(bits=math.inf),
+    "pmf-string-probability": _bit_pmf_with([0, 0, "0.5"]),
+    "pmf-symbol-outside-alphabet": _bit_pmf_with([2, 0, 0.5]),
+    "non-object": [_sources.TRIANGLE],
+    "string-document": "hypergraph",
+}
+# Sources some commands run: duplicate 'on' entries, a pmf (which the
+# pairwise commands decline) and weights whose results have more digits
+# than Python prints.
+SOURCES_SOME_RUN = {
+    "on-duplicate": _triangle_with(on=["1", "1", "2"]),
+    "pmf": _sources.BIT_PMF,
+    "result-past-the-digit-limit": _sources.hg(
+        "12", [("a", "12", f"1/{2 ** 7500}"), ("b", "12", f"1/{3 ** 4700}")]),
+}
+SUBCOMMAND_FORMS = {
+    "mmi": ["mmi"],
+    "rco": ["rco"],
+    "capacity": ["capacity"],
+    "sandwich": ["sandwich", "--grid", "0:2:1"],
+    "two-user": ["two-user", "--grid", "0:1:1/2"],
+    "simulate-tree": ["simulate", "--scheme", "tree", "-n", "2"],
+    "simulate-binning": ["simulate", "--scheme", "binning", "-n", "2"],
+}
+
+
+@pytest.mark.parametrize("form", SUBCOMMAND_FORMS)
+@pytest.mark.parametrize("case", [*FAULTY_SOURCES, *SOURCES_SOME_RUN])
+def test_faulty_sources_exit_with_a_documented_code(capsys, write_source, case, form):
+    # An exception escaping main would be a traceback and exit 1.
+    command, *options = SUBCOMMAND_FORMS[form]
+    source = {**FAULTY_SOURCES, **SOURCES_SOME_RUN}[case]
+    code, out, err = run_cli(capsys, command, write_source(source), *options)
+    assert code in (0, 2, 3) and "Traceback" not in err, (code, err)
+    assert code != 2 or err.startswith("error:")
+    assert code != 3 or err.startswith("resource cap:")
+    assert "is_pin" not in err  # each command states its own requirement
+    if case in FAULTY_SOURCES:
+        assert (code, out) == (2, "")
+    if case in DIGIT_LIMIT_FAULTS:
+        assert "4300 digits" in err or "bad rational literal" in err
+    if case == "result-past-the-digit-limit" and form == "mmi":
+        assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("command", ["sandwich", "two-user"])
+@pytest.mark.parametrize("grid", ["1e-4300", "0:1:1e-10000000", "1e99999999"])
+def test_grid_literals_past_the_digit_limit_exit_2(capsys, write_source, command, grid):
+    code, out, err = run_cli(capsys, command, write_source(_sources.BIT_PMF), "--grid", grid)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "4300 digits" in err
+
+
+def test_float_curve_with_a_breakpoint_an_ulp_below_the_budget(capsys, write_source):
+    # The budget 2/3 and the breakpoint candidate 2/3 - 0.0 differ by less
+    # than an ulp, so a crossing search that divides by their float
+    # difference divides by 0.
+    code, out, err = run_cli(capsys, "sandwich", write_source(_sources.EXAMPLE1),
+                             "--grid", "2/3", "--cs-upper",
+                             write_source([[0.0, 2 / 3], [4.0, 68 / 3]], "upper.json"))
+    assert (code, err) == (0, "")
+    assert out == "alpha,lower,upper,tight\n2/3,2/3,0.666666666667,1\n"
 
 
 # Per case: the fixture and the argv after the source path.

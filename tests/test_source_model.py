@@ -178,8 +178,8 @@ def test_pmf_entropy_matches_hypergraph():
 def test_is_pin(triangle, example1, intro_pmf):
     assert is_pin(triangle)
     assert not is_pin(example1)
-    with pytest.raises(ValidationError):
-        is_pin(intro_pmf)
+    # A pmf has no edges, pairwise or not.
+    assert not is_pin(intro_pmf)
 
 
 def test_gacs_korner_hypergraph(example1, triangle):
