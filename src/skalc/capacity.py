@@ -93,7 +93,7 @@ def pin_curves(source: HypergraphicalSource) -> PinCurves:
     With two users r_s = 0: the constrained curve is flat at the cap.
     """
     if not is_pin(source):
-        raise ValidationError("pin_curves needs a source with all edges on exactly two users")
+        raise ValidationError("capacity needs a source with all edges on exactly two users")
     n = len(source.users)
     cap = pin_strength(source)
     alpha_s = (n - 1) * cap
@@ -365,6 +365,8 @@ def sandwich(
     alphas = [Fraction(alpha) for alpha in alphas]
     if min(alphas) < 0:
         raise ValidationError("grid budgets must be nonnegative")
+    if not isinstance(source, HypergraphicalSource):
+        raise ValidationError("sandwich needs a hypergraphical source")
     if is_pin(source):
         curve = pin_curves(source).compressed
     else:

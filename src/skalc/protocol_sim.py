@@ -147,8 +147,12 @@ def verify(instance: BitSourceInstance, scheme: LinearScheme) -> VerificationRep
     """Exact checks: per-user key recovery, key uniformity, transcript/key
     independence."""
     validate_scheme(instance, scheme)
-    a_rows = [row for row, _ in scheme.transcript]
-    a_basis = Gf2Basis(a_rows)
+    return _verify_on(instance, scheme, Gf2Basis(row for row, _ in scheme.transcript))
+
+
+def _verify_on(instance: BitSourceInstance, scheme: LinearScheme,
+               a_basis: Gf2Basis) -> VerificationReport:
+    """``verify`` on a valid scheme whose transcript rows span ``a_basis``."""
     b_basis = Gf2Basis(scheme.key)
     key_uniform = b_basis.rank == len(scheme.key)
     joint = a_basis.copy()
@@ -202,10 +206,16 @@ def _partition_into_forests(nv: int, elements: Sequence[tuple[int, int]], k: int
     Inserts greedily with BFS augmentation over the exchange graph (arcs
     from an element to the members of the circuit it closes).  An element
     with no augmenting path can never be placed later, so it is skipped
-    for good.  Returns (forests as element-index sets, owner map).
+    for good.  So are its clones, the later elements with the same
+    endpoints: a failed insert changes nothing, swapping two clones maps
+    the placed set to itself, and the span of the union only grows, so
+    each clone would fail too.  Once k * (nv - 1) elements are placed,
+    every forest spans and the union has full rank, so the loop stops.
+    Returns (forests as element-index sets, owner map).
     """
     adj = [{v: [] for v in range(nv)} for _ in range(k)]
     owner: dict[int, int] = {}
+    failed: set[tuple[int, int]] = set()
 
     def insert(y: int) -> bool:
         parent: dict[int, int | None] = {y: None}
@@ -237,8 +247,11 @@ def _partition_into_forests(nv: int, elements: Sequence[tuple[int, int]], k: int
                             queue.append(z)
         return False
 
-    for y in range(len(elements)):
-        insert(y)
+    for y, ends in enumerate(elements):
+        if len(owner) == k * (nv - 1):
+            break
+        if ends not in failed and not insert(y):
+            failed.add(ends)
     forests = [set() for _ in range(k)]
     for elem, f in owner.items():
         forests[f].add(elem)
@@ -375,8 +388,11 @@ def random_binning_omniscience(source: HypergraphicalSource, n: int, seed: int) 
     construction.  A user who recovers the key from own bits plus transcript
     therefore recovers every bit, and the converse is trivial: `achieved`
     (omniscience of all users) is the key recovery of the one verification,
-    kept as `report`.
+    kept as `report`.  That verification runs on the echelon basis the key
+    was read off, so the transcript is reduced once.
     """
+    if not isinstance(source, HypergraphicalSource):
+        raise ValidationError("random binning needs a hypergraphical source")
     instance = BitSourceInstance(source, n)
     m = instance.total_bits
     witness = rco(source).witness
@@ -391,11 +407,11 @@ def random_binning_omniscience(source: HypergraphicalSource, n: int, seed: int) 
                 in zip(instance.offsets, source.weights, source.incidence) if ui in inc]
         for _ in range(math.ceil(n * r) + margin):
             transcript.append((_random_row(rng, runs), user))
-    # The transcript basis is garbage before verify builds its own: holding
-    # both raises the peak memory of a job.
-    key = tuple(complement_units(Gf2Basis(row for row, _ in transcript), m))
-    scheme = LinearScheme(m, tuple(transcript), key)
-    report = verify(instance, scheme)
+    # Every row lies in its speaker's view and the width is m, so the scheme
+    # is valid, and the basis that yields the key is the one verify builds.
+    a_basis = Gf2Basis(row for row, _ in transcript)
+    scheme = LinearScheme(m, tuple(transcript), tuple(complement_units(a_basis, m)))
+    report = _verify_on(instance, scheme, a_basis)
     return RandomBinning(instance, scheme, all(report.recoverable.values()),
                          dict(witness.rates), report)
 

@@ -26,9 +26,13 @@ reaches the cap.
 
 ``Gf2Basis`` and ``complement_units`` are the back-eliminating GF(2) basis
 and its unit-by-unit complement that ``skalc.gf2`` replaced with an echelon
-basis, kept unchanged.  ``max_spanning_tree_packing`` is the packing loop
-that reran the matroid partition for k = 1, 2, ... until a run failed;
-``tree_packing_scheme`` now runs it once at floor(n * strength).
+basis, kept unchanged.  ``partition_into_forests`` is the matroid partition
+that tried to insert every element, kept unchanged with its ``_forest_path``;
+``skalc.protocol_sim`` skips the clones of a failed element and stops at
+full rank, and must return the same forests and owner map.
+``max_spanning_tree_packing`` is the packing loop that reran that partition
+for k = 1, 2, ... until a run failed; ``tree_packing_scheme`` now runs it
+once at floor(n * strength).
 ``verify`` and ``omniscience_reached`` are the unit-vector recoverability
 checks that copied the transcript basis and inserted one unit per observed
 bit, where ``skalc.protocol_sim`` now masks the observed bits off.
@@ -67,6 +71,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -85,7 +90,7 @@ from skalc.mmi import (
     _minimize_exact,
     iter_partitions,
 )
-from skalc.protocol_sim import VerificationReport, _partition_into_forests, validate_scheme
+from skalc.protocol_sim import VerificationReport, validate_scheme
 from skalc.source_model import HypergraphicalSource, SourceSpec, entropy, entropy_table
 from skalc.two_user import FEAS_SLACK, MAX_ITERS, OBJ_TOL, _channel_scores, _marginals
 
@@ -691,6 +696,77 @@ def complement_units(basis: Gf2Basis, width: int) -> list[int]:
     return out
 
 
+def _forest_path(adj, u, v):
+    """Elements on the u..v path of one forest; None if disconnected."""
+    if u == v:
+        return []
+    prev = {u: (None, None)}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        for (y, elem) in adj[x]:
+            if y not in prev:
+                prev[y] = (x, elem)
+                if y == v:
+                    path = []
+                    while y != u:
+                        x2, e2 = prev[y]
+                        path.append(e2)
+                        y = x2
+                    return path
+                queue.append(y)
+    return None
+
+
+def partition_into_forests(nv: int, elements: Sequence[tuple[int, int]], k: int):
+    """Knuth-style matroid partition of multigraph edges into k forests.
+
+    Inserts greedily with BFS augmentation over the exchange graph (arcs
+    from an element to the members of the circuit it closes).  An element
+    with no augmenting path can never be placed later, so it is skipped
+    for good.  Returns (forests as element-index sets, owner map).
+    """
+    adj = [{v: [] for v in range(nv)} for _ in range(k)]
+    owner: dict[int, int] = {}
+
+    def insert(y: int) -> bool:
+        parent: dict[int, int | None] = {y: None}
+        queue = deque([y])
+        while queue:
+            x = queue.popleft()
+            ux, vx = elements[x]
+            for i in range(k):
+                path = _forest_path(adj[i], ux, vx)
+                if path is None:
+                    cur, fi = x, i
+                    while True:
+                        old = owner.get(cur)
+                        cu, cv = elements[cur]
+                        if old is not None:
+                            adj[old][cu] = [(w, e) for (w, e) in adj[old][cu] if e != cur]
+                            adj[old][cv] = [(w, e) for (w, e) in adj[old][cv] if e != cur]
+                        adj[fi][cu].append((cv, cur))
+                        adj[fi][cv].append((cu, cur))
+                        owner[cur] = fi
+                        p = parent[cur]
+                        if p is None:
+                            return True
+                        cur, fi = p, old
+                else:
+                    for z in path:
+                        if z not in parent:
+                            parent[z] = x
+                            queue.append(z)
+        return False
+
+    for y in range(len(elements)):
+        insert(y)
+    forests = [set() for _ in range(k)]
+    for elem, f in owner.items():
+        forests[f].add(elem)
+    return forests, owner
+
+
 def max_spanning_tree_packing(nv: int, elements: Sequence[tuple[int, int]]):
     """Largest k with k edge-disjoint spanning trees; returns their element
     sets.  Retries the partition from scratch for each k and keeps the last
@@ -701,7 +777,7 @@ def max_spanning_tree_packing(nv: int, elements: Sequence[tuple[int, int]]):
     k = 1
     upper = len(elements) // (nv - 1)
     while k <= upper:
-        forests, _ = _partition_into_forests(nv, elements, k)
+        forests, _ = partition_into_forests(nv, elements, k)
         if all(len(f) == nv - 1 for f in forests):
             best = forests
             k += 1

@@ -457,6 +457,13 @@ SUBCOMMAND_FORMS = {
     "simulate-tree": ["simulate", "--scheme", "tree", "-n", "2"],
     "simulate-binning": ["simulate", "--scheme", "binning", "-n", "2"],
 }
+# The stderr of each form that declines a pmf (exit 2); the others run it.
+PMF_REFUSALS = {
+    "capacity": "error: capacity needs a source with all edges on exactly two users\n",
+    "sandwich": "error: sandwich needs a hypergraphical source\n",
+    "simulate-tree": "error: tree packing needs a source with all edges on two users\n",
+    "simulate-binning": "error: random binning needs a hypergraphical source\n",
+}
 
 
 @pytest.mark.parametrize("form", SUBCOMMAND_FORMS)
@@ -476,6 +483,8 @@ def test_faulty_sources_exit_with_a_documented_code(capsys, write_source, case, 
         assert "4300 digits" in err or "bad rational literal" in err
     if case == "result-past-the-digit-limit" and form == "mmi":
         assert (code, out) == (3, "")
+    if case == "pmf":
+        assert (code, err) == ((2, PMF_REFUSALS[form]) if form in PMF_REFUSALS else (0, ""))
 
 
 @pytest.mark.parametrize("command", ["sandwich", "two-user"])
@@ -529,14 +538,16 @@ def test_subcommand_leaves_no_reference_cycles(capsys, write_source, case):
 
 @pytest.mark.parametrize("scheme", ["tree", "binning"])
 def test_simulate_verifies_the_scheme_once(capsys, write_source, monkeypatch, scheme):
+    # Both builders reach the shared core: tree packing through verify,
+    # binning directly with the transcript basis it built for the key.
     calls = []
-    real = protocol_sim.verify
+    real = protocol_sim._verify_on
 
-    def counted(instance, linear_scheme):
+    def counted(instance, linear_scheme, a_basis):
         calls.append(linear_scheme)
-        return real(instance, linear_scheme)
+        return real(instance, linear_scheme, a_basis)
 
-    monkeypatch.setattr(protocol_sim, "verify", counted)
+    monkeypatch.setattr(protocol_sim, "_verify_on", counted)
     path = write_source(_sources.TRIANGLE)
     code, out, _ = run_cli(capsys, "simulate", path, "--scheme", scheme, "-n", "2")
     assert code == 0

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -60,14 +61,24 @@ def _edge_bits(inst, e):
     return range(inst.offsets[e], inst.offsets[e] + int(inst.source.weights[e]) * inst.n)
 
 
-def _oracle_trees(packed):
-    """The old k = 1, 2, ... packing loop on the scheme's element list."""
-    inst = packed.instance
+def _elements(inst):
+    """The matroid partition's elements: bit k's two observers, as element k."""
     elements = []
     for e, inc in enumerate(inst.source.incidence):
         elements.extend([tuple(sorted(inc))] * len(_edge_bits(inst, e)))
-    trees = _oracle.max_spanning_tree_packing(len(inst.source.users), elements)
+    return elements
+
+
+def _oracle_trees(packed):
+    """The old k = 1, 2, ... packing loop on the scheme's element list."""
+    inst = packed.instance
+    trees = _oracle.max_spanning_tree_packing(len(inst.source.users), _elements(inst))
     return tuple(tuple(sorted(t)) for t in trees)
+
+
+def _assert_forests_match_the_oracle(nv, elements, k):
+    assert (protocol_sim._partition_into_forests(nv, elements, k)
+            == _oracle.partition_into_forests(nv, elements, k)), (nv, elements, k)
 
 
 def test_instance_layout(triangle):
@@ -330,6 +341,34 @@ def test_tree_packing_matches_oracle_on_random_pairwise(seed, n, blocklength):
     assert packed.trees == _oracle_trees(packed)
 
 
+def test_forests_match_the_oracle_on_the_benchmark_pools():
+    # Forests and owner maps, at the packing count tree_packing_scheme uses.
+    jobs = [job for seed in (1, 2) for job in benchmark_jobs("linear-schemes", seed=seed)
+            if job.kind == "tree"]
+    assert len(jobs) == 300
+    for job in jobs:
+        source = parse_source(job.source)
+        n = int(job.argv[job.argv.index("-n") + 1])
+        k = math.floor(n * protocol_sim.pin_strength(source))
+        _assert_forests_match_the_oracle(len(source.users),
+                                         _elements(BitSourceInstance(source, n)), k)
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), nv=st.integers(2, 6), k=st.integers(1, 6),
+       shuffle=st.booleans())
+def test_forests_match_the_oracle_on_random_multigraphs(seed, nv, k, shuffle):
+    # Parallel edges of 1-6 clones each; k runs below and above the strength,
+    # and a shuffled order puts other elements between a failed one's clones.
+    rng = random.Random(seed)
+    elements = []
+    for _ in range(rng.randint(1, 3 * nv)):
+        elements.extend([tuple(sorted(rng.sample(range(nv), 2)))] * rng.randint(1, 6))
+    if shuffle:
+        rng.shuffle(elements)
+    _assert_forests_match_the_oracle(nv, elements, k)
+
+
 @settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 40), count=st.integers(0, 50))
 def test_gf2_basis_matches_oracle(seed, width, count):
@@ -375,6 +414,7 @@ def test_binning_achieved_matches_oracle(seed, n, blocklength, scale):
         binned = random_binning_omniscience(src, blocklength, seed=rng.randrange(100))
     assert binned.achieved == _oracle.omniscience_reached(binned.instance, binned.scheme.transcript)
     assert binned.report == _oracle.verify(binned.instance, binned.scheme)
+    assert binned.report == verify(binned.instance, binned.scheme)
     assert binned.achieved == all(binned.report.recoverable.values())
 
 
